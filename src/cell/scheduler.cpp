@@ -73,7 +73,14 @@ CellTotals CellScheduler::run(platform::PacketFarm& farm) {
       platform::RxJob job;
       job.id = next + i;  // schedule index: ordered collect == fold order
       job.tag = ev.flowId;
-      job.rx = chan.run(pkt.waveform);
+      // The scalar channel stays the reference path; its waveforms are
+      // copied into recycled farm buffers, so the worker's release after
+      // each decode closes the pool's loop instead of growing it.
+      const auto rx = chan.run(pkt.waveform);
+      for (std::size_t a = 0; a < rx.size(); ++a) {
+        job.rx[a] = farm.acquireSampleBuffer();
+        job.rx[a].assign(rx[a].begin(), rx[a].end());
+      }
       // The deadline in cycles: a decode that alone would blow the frame
       // budget stops at kMaxCycles instead of simulating on — the watchdog
       // budget path enforces the deadline inside the decode.

@@ -29,14 +29,6 @@ std::string RegionProfile::mode() const {
 
 Processor::Processor() : cga_(crf_, l1_, cfgMem_, act_), dma_(l1_, cfgMem_) {}
 
-void Processor::load(const Program& prog,
-                     std::shared_ptr<const ProgramPlans> plans) {
-  ExecPolicy policy;
-  if (plans) policy.tier = plans->tier;
-  policy.plans = std::move(plans);
-  load(prog, std::move(policy));
-}
-
 void Processor::load(const Program& prog, ExecPolicy policy) {
   // Warm-reload fast path (ExecPolicy::warmReload): the same immutable
   // Program with the same shared plans was loaded before, so the expensive

@@ -104,11 +104,6 @@ class Processor {
   /// built here from the loaded kernels.
   void load(const Program& prog, ExecPolicy policy = {});
 
-  /// Transitional shim for the pre-ExecTier API, which threaded bare plan
-  /// sets through load.  The plans' embedded tier governs execution.
-  [[deprecated("pass an ExecPolicy instead of a bare plan set")]]
-  void load(const Program& prog, std::shared_ptr<const ProgramPlans> plans);
-
   // -- Execution -------------------------------------------------------------
 
   /// Runs until halt / stall / budget exhaustion.

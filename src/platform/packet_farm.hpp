@@ -162,6 +162,9 @@ class PacketFarm {
   /// packet's rx payload) for producers to fill — submit → decode →
   /// recycle forms a closed, allocation-free loop in steady state.
   std::vector<cint16> acquireSampleBuffer() { return samplePool_.acquire(); }
+  /// Waveform buffers resting in the pool (telemetry/tests): bounded by
+  /// the buffers in flight when every producer draws from the pool.
+  std::size_t idleSampleBuffers() const { return samplePool_.idle(); }
 
   /// Blocks until every submitted job has an outcome, then returns and
   /// clears the outcome buffer (sorted by id in ordered mode).  The workers

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <tuple>
@@ -50,6 +49,8 @@ struct Placement {
   int globalReg = -1;  ///< value's CDRF scratch register (if written)
 };
 
+/// The partial mapping.  Every member is a flat value or a vector of flat
+/// values, so copy-assigning into an existing state reuses its storage.
 struct SchedState {
   int ii = 0;
   std::vector<std::array<bool, kCgaFus>> slotBusy;
@@ -81,8 +82,8 @@ struct SchedState {
   std::vector<Placement> place;
   std::vector<Preload> preloads;
   std::vector<Writeback> writebacks;
-  /// (liveIn/const node, fu) -> preloaded local register.
-  std::map<std::pair<int, int>, int> liveInLocal;
+  /// [liveIn/const node * kCgaFus + fu] -> preloaded local register, or -1.
+  std::vector<i8> liveInLocal;
   int moves = 0;
   int maxTimePlusLat = 1;
 };
@@ -142,19 +143,75 @@ int ensureProducerGlobal(SchedState& st, int node, int fixedReg) {
 // Edge routing: breadth-first search over (fu, commit-cycle) states.
 // ---------------------------------------------------------------------------
 
+/// Per producer FU, the other FUs that can read its output register, in
+/// ascending order: the order in which the router expands mesh hops.
+struct MeshReaders {
+  std::array<std::array<int, kCgaFus>, kCgaFus> of{};
+  std::array<int, kCgaFus> count{};
+
+  MeshReaders() {
+    for (int r = 0; r < kCgaFus; ++r) {
+      for (int p = 0; p < kCgaFus; ++p) {
+        if (r == p || !canRead(r, p)) continue;
+        const auto up = static_cast<std::size_t>(p);
+        of[up][static_cast<std::size_t>(count[up]++)] = r;
+      }
+    }
+  }
+};
+
+const MeshReaders& meshReaders() {
+  static const MeshReaders readers;
+  return readers;
+}
+
 struct RouteNode {
   int f = -1;
   int c = 0;          ///< cycle at which the value is committed at f
   int parent = -1;
   int issue = -1;     ///< issue time of the move that created this state
+  int depth = 0;      ///< routing moves from the start state
   bool readsLocal = false;  ///< move read the parent's local register
+};
+
+/// The router's search buffers.  One Attempt owns them and reuses them for
+/// every route, so a search allocates nothing once they have grown.
+struct RouteScratch {
+  /// BFS states in discovery order.  Every state but a terminal is queued
+  /// the moment it is discovered, so this is also the FIFO: a head index
+  /// walks it.
+  std::vector<RouteNode> nodes;
+  /// Visited bitmap over the state window: [(c - base) * kCgaFus + f].
+  std::vector<u8> visited;
+  int base = 0;  ///< the producer's commit cycle
+  int last = 0;  ///< T + 1, the latest commit any move can reach
+  std::vector<int> chain;
+  std::vector<u8> needLocal;
+  std::vector<int> regOf;
+
+  /// Starts a search whose states commit within [commit, lastCycle].
+  void reset(int commit, int lastCycle) {
+    base = commit;
+    last = lastCycle;
+    visited.assign(static_cast<std::size_t>(last - base + 1) * kCgaFus, 0);
+    nodes.clear();
+  }
+  u8& visitedAt(int f, int c) {
+    ADRES_CHECK(c >= base && c <= last,
+                "route state cycle " << c << " outside [" << base << ", "
+                                     << last << "]");
+    return visited[static_cast<std::size_t>(c - base) * kCgaFus +
+                   static_cast<std::size_t>(f)];
+  }
 };
 
 /// Routes producer `prod` (an op node, already placed) to the consumer port
 /// (consFu, consTime, operandIdx) with iteration distance `dist`.
 /// On success fills the consumer's operand select and books all resources.
-bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
-                 FuOp& consOp, int operandIdx, int dist, int phiSeedReg) {
+bool routeOpEdge(SchedState& st, RouteScratch& rs, int prodNode, int consFu,
+                 int consTime, FuOp& consOp, int operandIdx, int dist,
+                 int phiSeedReg) {
+  const MeshReaders& readers = meshReaders();
   const Placement& p = st.place[static_cast<std::size_t>(prodNode)];
   const int T = consTime + dist * st.ii;  // producer-relative read instant
   if (T < p.commit) return false;
@@ -189,56 +246,62 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
     }
   }
 
-  // BFS through routing moves.
-  std::vector<RouteNode> nodes;
-  nodes.push_back({p.fu, p.commit, -1, -1, false});
-  std::deque<int> queue{0};
-  std::map<std::pair<int, int>, bool> visited;
-  visited[{p.fu, p.commit}] = true;
+  // BFS through routing moves.  A hop commits one cycle after its parent
+  // and only while the parent commits before T; a delay commits at most at
+  // T + 1.  So every state commits within [p.commit, T + 1].
+  std::vector<RouteNode>& nodes = rs.nodes;
+  rs.reset(p.commit, T + 1);
+  nodes.push_back({p.fu, p.commit, -1, -1, 0, false});
+  rs.visitedAt(p.fu, p.commit) = 1;
   int terminal = -1;
   bool terminalLocal = false;  // consumer reads last move's local register
 
   const auto windowEndOf = [&](const RouteNode& rn) {
     return rn.parent < 0 ? p.windowEnd : rn.c + st.ii;
   };
+  // Terminal test for a newly discovered state.
+  const auto isTerminal = [&](const RouteNode& nn, bool& local) {
+    if (nn.f == consFu && nn.c <= T && T < nn.c + st.ii) {
+      local = true;
+      return true;
+    }
+    if (dist == 0 && nn.c == T && canRead(consFu, nn.f)) {
+      local = false;
+      return true;
+    }
+    return false;
+  };
 
   constexpr int kMaxRouteMoves = 6;
-  std::vector<int> depth{0};
 
-  while (!queue.empty() && terminal < 0) {
-    const int cur = queue.front();
-    queue.pop_front();
-    const RouteNode rn = nodes[static_cast<std::size_t>(cur)];
-    if (depth[static_cast<std::size_t>(cur)] >= kMaxRouteMoves) continue;
+  for (std::size_t head = 0; head < nodes.size() && terminal < 0; ++head) {
+    const int cur = static_cast<int>(head);
+    const RouteNode rn = nodes[head];
+    if (rn.depth >= kMaxRouteMoves) continue;
 
     // Goal tests for states other than the raw start (start handled above).
     // Expansion: moves.
     // E1: hop to a mesh neighbour reading rn.f's output at exactly rn.c.
     if (rn.c < T) {
-      for (int f2 = 0; f2 < kCgaFus; ++f2) {
-        if (f2 == rn.f || !canRead(f2, rn.f)) continue;
-        if (visited.count({f2, rn.c + 1})) continue;
+      const auto uf = static_cast<std::size_t>(rn.f);
+      for (int k = 0; k < readers.count[uf]; ++k) {
+        const int f2 = readers.of[uf][static_cast<std::size_t>(k)];
+        u8& seen = rs.visitedAt(f2, rn.c + 1);
+        if (seen) continue;
         if (st.slotBusy[static_cast<std::size_t>(rn.c % st.ii)][static_cast<std::size_t>(f2)]) continue;
         if (!st.commitAllowed(rn.c + 1, f2)) continue;
         // Reading rn's output at exactly rn.c requires a unique committer:
         // the producer (already booked, count 1) at the start state, or an
         // as-yet-unbooked route move (phase must still be empty).
         const int expectCount = rn.parent < 0 ? 1 : 0;
-        if (st.commitCount[static_cast<std::size_t>(rn.c % st.ii)][static_cast<std::size_t>(rn.f)] != expectCount)
+        if (st.commitCount[static_cast<std::size_t>(rn.c % st.ii)][uf] != expectCount)
           continue;
-        visited[{f2, rn.c + 1}] = true;
-        nodes.push_back({f2, rn.c + 1, cur, rn.c, false});
-        depth.push_back(depth[static_cast<std::size_t>(cur)] + 1);
-        const int idx = static_cast<int>(nodes.size()) - 1;
-        // Terminal checks for the new state.
-        const RouteNode& nn = nodes.back();
-        if ((nn.f == consFu && nn.c <= T && T < nn.c + st.ii) ) {
-          terminal = idx; terminalLocal = true; break;
+        seen = 1;
+        nodes.push_back({f2, rn.c + 1, cur, rn.c, rn.depth + 1, false});
+        if (isTerminal(nodes.back(), terminalLocal)) {
+          terminal = static_cast<int>(nodes.size()) - 1;
+          break;
         }
-        if (dist == 0 && nn.c == T && canRead(consFu, nn.f)) {
-          terminal = idx; terminalLocal = false; break;
-        }
-        queue.push_back(idx);
       }
       if (terminal >= 0) break;
     }
@@ -247,21 +310,16 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
     {
       const int wEnd = windowEndOf(rn);
       for (int m = rn.c; m < std::min(wEnd, T + 1); ++m) {
-        if (visited.count({rn.f, m + 1})) continue;
+        u8& seen = rs.visitedAt(rn.f, m + 1);
+        if (seen) continue;
         if (st.slotBusy[static_cast<std::size_t>(m % st.ii)][static_cast<std::size_t>(rn.f)]) continue;
         if (!st.commitAllowed(m + 1, rn.f)) continue;
-        visited[{rn.f, m + 1}] = true;
-        nodes.push_back({rn.f, m + 1, cur, m, true});
-        depth.push_back(depth[static_cast<std::size_t>(cur)] + 1);
-        const int idx = static_cast<int>(nodes.size()) - 1;
-        const RouteNode& nn = nodes.back();
-        if (nn.f == consFu && nn.c <= T && T < nn.c + st.ii) {
-          terminal = idx; terminalLocal = true; break;
+        seen = 1;
+        nodes.push_back({rn.f, m + 1, cur, m, rn.depth + 1, true});
+        if (isTerminal(nodes.back(), terminalLocal)) {
+          terminal = static_cast<int>(nodes.size()) - 1;
+          break;
         }
-        if (dist == 0 && nn.c == T && canRead(consFu, nn.f)) {
-          terminal = idx; terminalLocal = false; break;
-        }
-        queue.push_back(idx);
       }
       if (terminal >= 0) break;
     }
@@ -270,21 +328,24 @@ bool routeOpEdge(SchedState& st, int prodNode, int consFu, int consTime,
   if (terminal < 0) return false;
 
   // Materialize the chain from start to terminal.
-  std::vector<int> chain;
+  std::vector<int>& chain = rs.chain;
+  chain.clear();
   for (int i = terminal; i >= 0; i = nodes[static_cast<std::size_t>(i)].parent)
     chain.push_back(i);
   std::reverse(chain.begin(), chain.end());  // chain[0] = start
 
   // Determine which states need a local register (read by a delay move or
   // by the terminal-local consumer).
-  std::vector<bool> needLocal(chain.size(), false);
+  std::vector<u8>& needLocal = rs.needLocal;
+  needLocal.assign(chain.size(), 0);
   for (std::size_t i = 1; i < chain.size(); ++i) {
-    if (nodes[static_cast<std::size_t>(chain[i])].readsLocal) needLocal[i - 1] = true;
+    if (nodes[static_cast<std::size_t>(chain[i])].readsLocal) needLocal[i - 1] = 1;
   }
-  if (terminalLocal) needLocal[chain.size() - 1] = true;
+  if (terminalLocal) needLocal[chain.size() - 1] = 1;
 
   // Start state local register (the producer's own).
-  std::vector<int> regOf(chain.size(), -1);
+  std::vector<int>& regOf = rs.regOf;
+  regOf.assign(chain.size(), -1);
   if (needLocal[0]) {
     const int reg = ensureProducerLocal(st, prodNode);
     if (reg < 0) return false;
@@ -340,29 +401,22 @@ bool routeLiveInEdge(SchedState& st, const DfgNode& src, int consFu,
     operandField(consOp, operandIdx) = SrcSel::globalRf(src.globalReg);
     return true;
   }
-  const auto key = std::make_pair(src.id, consFu);
-  const auto it = st.liveInLocal.find(key);
-  int reg;
-  if (it != st.liveInLocal.end()) {
-    reg = it->second;
-  } else {
-    reg = allocLocal(st, consFu);
+  i8& local = st.liveInLocal[static_cast<std::size_t>(src.id) * kCgaFus +
+                             static_cast<std::size_t>(consFu)];
+  if (local < 0) {
+    const int reg = allocLocal(st, consFu);
     if (reg < 0) return false;
-    st.liveInLocal[key] = reg;
+    local = static_cast<i8>(reg);
     st.preloads.push_back({static_cast<u8>(consFu), static_cast<u8>(reg),
                            src.globalReg});
   }
-  operandField(consOp, operandIdx) = SrcSel::localRf(reg);
+  operandField(consOp, operandIdx) = SrcSel::localRf(local);
   return true;
 }
 
 // ---------------------------------------------------------------------------
 // The scheduler driver.
 // ---------------------------------------------------------------------------
-
-struct EdgeRef {
-  Edge e;
-};
 
 class Attempt {
  public:
@@ -376,6 +430,7 @@ class Attempt {
     st_.commitExcl.assign(static_cast<std::size_t>(ii), {});
     st_.ops.assign(static_cast<std::size_t>(ii), {});
     st_.place.assign(g.nodes.size(), {});
+    st_.liveInLocal.assign(g.nodes.size() * kCgaFus, -1);
     st_.nextScratchCdrf = opt.scratchCdrfFirst;
     st_.scratchCdrfLast = opt.scratchCdrfLast;
     buildEdges();
@@ -416,7 +471,13 @@ class Attempt {
   void buildEdges();
   void computeHeights();
   bool placeNode(int v);
-  bool tryCandidate(SchedState& st, int v, int fu, int t, bool allowSharedCommit);
+  /// The rejections that only read the committed state: issue slot,
+  /// commit phase, LD_IH pairing and order edges.  Nothing is copied for a
+  /// candidate that fails here.
+  bool candidateFits(int v, int fu, int t, bool allowSharedCommit) const;
+  /// Books a candidate that fits into `st` and routes its now-complete
+  /// edges.
+  bool bookAndRoute(SchedState& st, int v, int fu, int t);
   bool routeEdgeInState(SchedState& st, const Edge& e);
   int earliestStart(int v) const;
   int latestStart(int v) const;
@@ -424,7 +485,14 @@ class Attempt {
   const KernelDfg& g_;
   const ScheduleOptions& opt_;
   SchedState st_;
+  /// The candidate being booked and routed: a copy of st_ that keeps its
+  /// storage across candidates (swapped with st_ on success).
+  SchedState trial_;
+  RouteScratch route_;
   std::vector<Edge> edges_;
+  /// Per node, the edges_ indices of the edges it produces or consumes, in
+  /// edges_ order (a self edge once).
+  std::vector<std::vector<int>> incident_;
   std::vector<int> height_;
   std::vector<int> asap_;  ///< earliest feasible issue over dist-0 edges
   std::vector<int> alap_;  ///< latest issue on a critical-path-length schedule
@@ -461,6 +529,14 @@ void Attempt::buildEdges() {
       }
       edges_.push_back(e);
     }
+  }
+
+  incident_.assign(g_.nodes.size(), {});
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const Edge& e = edges_[i];
+    incident_[static_cast<std::size_t>(e.consumer)].push_back(static_cast<int>(i));
+    if (e.producer != e.consumer)
+      incident_[static_cast<std::size_t>(e.producer)].push_back(static_cast<int>(i));
   }
 }
 
@@ -558,7 +634,8 @@ void Attempt::computeHeights() {
 
 int Attempt::earliestStart(int v) const {
   int est = 0;
-  for (const Edge& e : edges_) {
+  for (const int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
     if (e.consumer != v) continue;
     const DfgNode& pn = g_.node(e.producer);
     if (pn.kind != NodeKind::kOp) continue;
@@ -586,7 +663,8 @@ int Attempt::latestStart(int v) const {
   // later than the consumer's (dist-shifted) read instant.
   int latest = 1 << 20;
   const int lat = latencyOf(g_.node(v));
-  for (const Edge& e : edges_) {
+  for (const int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
     if (e.producer != v || e.consumer == v) continue;
     const Placement& cp = st_.place[static_cast<std::size_t>(e.consumer)];
     if (!cp.placed) continue;
@@ -614,37 +692,33 @@ bool Attempt::routeEdgeInState(SchedState& st, const Edge& e) {
     return routeLiveInEdge(st, pn, cp.fu, consOp, e.operandIdx);
   }
   const int seed = e.phi >= 0 ? g_.node(e.phi).globalReg : -1;
-  return routeOpEdge(st, e.producer, cp.fu, cp.t, consOp, e.operandIdx,
-                     e.dist, seed);
+  return routeOpEdge(st, route_, e.producer, cp.fu, cp.t, consOp,
+                     e.operandIdx, e.dist, seed);
 }
 
-bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
-                           bool allowSharedCommit) {
+bool Attempt::candidateFits(int v, int fu, int t,
+                            bool allowSharedCommit) const {
   const DfgNode& nd = g_.node(v);
-  const OpInfo& info = opInfo(nd.op);
-  const int ii = st.ii;
-  const int slot = t % ii;
-  const int lat = info.latency;
+  const int ii = st_.ii;
+  const int lat = opInfo(nd.op).latency;
 
   // Issue-slot booking (divider is non-pipelined: 8 consecutive slots).
   if (isDivOp(nd.op)) {
     if (ii < 8) REJECT("div ii<8");
     for (int k = 0; k < 8; ++k)
-      if (st.slotBusy[static_cast<std::size_t>((t + k) % ii)][static_cast<std::size_t>(fu)]) REJECT("div slots");
+      if (st_.slotBusy[static_cast<std::size_t>((t + k) % ii)][static_cast<std::size_t>(fu)]) REJECT("div slots");
   } else {
-    if (st.slotBusy[static_cast<std::size_t>(slot)][static_cast<std::size_t>(fu)]) REJECT("slot busy");
+    if (st_.slotBusy[static_cast<std::size_t>(t % ii)][static_cast<std::size_t>(fu)]) REJECT("slot busy");
   }
-  if (!st.commitAllowed(t + lat, fu)) REJECT("commit excl");
+  if (!st_.commitAllowed(t + lat, fu)) REJECT("commit excl");
   if (!allowSharedCommit &&
-      st.commitCount[static_cast<std::size_t>((t + lat) % ii)][static_cast<std::size_t>(fu)] != 0)
+      st_.commitCount[static_cast<std::size_t>((t + lat) % ii)][static_cast<std::size_t>(fu)] != 0)
     REJECT("commit shared");
 
   // LD_IH pairing: same FU as the low half, committing strictly later,
   // within one II so the pair window is non-empty.
-  int pairLow = -1;
   if (nd.op == Opcode::LD_IH) {
-    pairLow = nd.src[2];
-    const Placement& lp = st.place[static_cast<std::size_t>(pairLow)];
+    const Placement& lp = st_.place[static_cast<std::size_t>(nd.src[2])];
     if (!lp.placed || lp.fu != fu) REJECT("pair fu");
     if (t + lat <= lp.commit || t + lat >= lp.commit + ii) REJECT("pair window");
   }
@@ -652,14 +726,22 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
   // Order-edge checks against already-placed partners.
   for (const OrderEdge& oe : g_.orderEdges) {
     if (oe.to == v) {
-      const Placement& p = st.place[static_cast<std::size_t>(oe.from)];
+      const Placement& p = st_.place[static_cast<std::size_t>(oe.from)];
       if (p.placed && t + oe.dist * ii < p.t + 1) return false;
     }
     if (oe.from == v) {
-      const Placement& p = st.place[static_cast<std::size_t>(oe.to)];
+      const Placement& p = st_.place[static_cast<std::size_t>(oe.to)];
       if (p.placed && p.t + oe.dist * ii < t + 1) return false;
     }
   }
+  return true;
+}
+
+bool Attempt::bookAndRoute(SchedState& st, int v, int fu, int t) {
+  const DfgNode& nd = g_.node(v);
+  const int ii = st.ii;
+  const int slot = t % ii;
+  const int lat = opInfo(nd.op).latency;
 
   // Book.
   if (isDivOp(nd.op)) {
@@ -685,8 +767,8 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
   st.maxTimePlusLat = std::max(st.maxTimePlusLat, t + lat);
 
   // Pair register for LD_I/LD_IH.
-  if (pairLow >= 0) {
-    Placement& lp = st.place[static_cast<std::size_t>(pairLow)];
+  if (nd.op == Opcode::LD_IH) {
+    Placement& lp = st.place[static_cast<std::size_t>(nd.src[2])];
     const int reg = allocLocal(st, fu);
     if (reg < 0) REJECT("pair reg");
     FuOp& lowOp = fuOpAt(st, lp.fu, lp.t);
@@ -702,18 +784,15 @@ bool Attempt::tryCandidate(SchedState& st, int v, int fu, int t,
   // Route every edge whose both endpoints are now placed:
   //  - incoming edges into v,
   //  - outgoing edges from v to already-placed consumers (incl. carried).
-  for (const Edge& e : edges_) {
-    const bool incoming = e.consumer == v;
-    const bool outgoing =
-        e.producer == v && e.consumer != v &&
-        st.place[static_cast<std::size_t>(e.consumer)].placed;
-    const bool self = e.producer == v && e.consumer == v;
-    if (!incoming && !outgoing && !self) continue;
-    if (incoming) {
+  for (const int i : incident_[static_cast<std::size_t>(v)]) {
+    const Edge& e = edges_[static_cast<std::size_t>(i)];
+    if (e.consumer == v) {
       const DfgNode& pn = g_.node(e.producer);
       if (pn.kind == NodeKind::kOp &&
           !st.place[static_cast<std::size_t>(e.producer)].placed)
         continue;  // routed when the producer lands
+    } else if (!st.place[static_cast<std::size_t>(e.consumer)].placed) {
+      continue;  // routed when the consumer lands
     }
     if (!routeEdgeInState(st, e)) {
       ++routeFailures_;
@@ -737,9 +816,8 @@ bool Attempt::placeNode(int v) {
   std::vector<int> score(kCgaFus, 0);
   for (int fu : fus) {
     int s = 0;
-    for (const Edge& e : edges_) {
-      const bool rel = e.consumer == v || e.producer == v;
-      if (!rel) continue;
+    for (const int i : incident_[static_cast<std::size_t>(v)]) {
+      const Edge& e = edges_[static_cast<std::size_t>(i)];
       const int other = e.consumer == v ? e.producer : e.consumer;
       const DfgNode& on = g_.node(other);
       if (on.kind == NodeKind::kOp) {
@@ -778,10 +856,12 @@ bool Attempt::placeNode(int v) {
   for (const bool shared : {false, true}) {
     for (int t : times) {
       for (int fu : fus) {
-        SchedState trial = st_;
-        if (tryCandidate(trial, v, fu, t, shared)) {
-          st_ = std::move(trial);
-          return true;
+        if (candidateFits(v, fu, t, shared)) {
+          trial_ = st_;
+          if (bookAndRoute(trial_, v, fu, t)) {
+            std::swap(st_, trial_);
+            return true;
+          }
         }
         ++placementRejects_;
       }

@@ -195,6 +195,26 @@ TEST(CellScheduler, MetricsAndSloSeeTheSimulatedLatencies) {
   reg.clear();
 }
 
+TEST(CellScheduler, LongLivedFarmKeepsSampleBufferPoolBounded) {
+  // Every waveform the scheduler submits comes from the farm's pool and
+  // the worker releases it back after the decode, so a farm reused across
+  // runs holds at most the buffers of one batch in flight (two antennas
+  // per job), however many packets it has decoded.
+  CellScenario sc = baseScenario();
+  sc.submitBatch = 4;
+  const std::size_t bound = 2 * static_cast<std::size_t>(sc.submitBatch);
+  platform::PacketFarm farm(farmFor(sc, 2));
+  u64 offered = 0;
+  for (int round = 0; round < 4; ++round) {
+    sc.seed = 42 + static_cast<u64>(round);
+    CellScheduler sched(sc);
+    offered += sched.run(farm).offered;
+    EXPECT_LE(farm.idleSampleBuffers(), bound) << "round " << round;
+  }
+  (void)farm.finish();
+  EXPECT_GT(offered, bound) << "too few packets to tell a leak from the bound";
+}
+
 TEST(CellScheduler, WriteSummaryFileIsAtomicAndIdenticalToStream) {
   const CellScenario sc = baseScenario();
   platform::PacketFarm farm(farmFor(sc, 1));
