@@ -214,7 +214,7 @@ class ExecTierFlag {
   explicit ExecTierFlag(Args& args)
       : name_(execTierName(defaultExecTier())) {
     args.flag("exec-tier", "TIER",
-              "execution tier: reference | interpreted | native", &name_);
+              "execution tier: reference | native", &name_);
   }
   ExecTier resolve() const { return parseExecTier(name_); }
   const std::string& name() const { return name_; }

@@ -7,9 +7,8 @@
 //
 //   $ ./bench_farm [numPackets] [numSymbols] [maxWorkers] [jsonPath] \
 //         [--exec-tier TIER] [--live-metrics PORT] [--linger-ms N] \
-//         [--metrics-json PATH] [--sentinel RATE] [--sentinel-tier TIER] \
-//         [--slo SPECS] [--postmortem-dir DIR] \
-//         [--sentinel-overhead-max-pct PCT]
+//         [--metrics-json PATH] [--sentinel RATE] [--slo SPECS] \
+//         [--postmortem-dir DIR] [--sentinel-overhead-max-pct PCT]
 //
 // jsonPath defaults to BENCH_farm.json; pass "-" to skip the dump.  With
 // --live-metrics the bench embeds a MetricsServer: while the sweep runs,
@@ -19,7 +18,8 @@
 // scrapers and the farm_dashboard example can attach.
 //
 // Self-auditing (DESIGN.md §16): --sentinel enables the divergence sentinel
-// at the given sample rate (any divergence makes the bench exit 2); --slo
+// at the given sample rate, shadow-decoding on the tier --exec-tier does not
+// use (any divergence makes the bench exit 2); --slo
 // evaluates an SLO spec list against the live registry (served on /slo with
 // --live-metrics; a breach captures a postmortem bundle when
 // --postmortem-dir is set).  --sentinel-overhead-max-pct runs a paired
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   int lingerMs = 0;
   std::string metricsJsonPath;
   double sentinelRate = -1.0;  // <0 = sentinel off
-  std::string sentinelTierName = "interpreted";
   std::string sloSpecsText;
   std::string postmortemDir;
   double overheadMaxPct = -1.0;  // <0 = no overhead gate
@@ -91,11 +90,9 @@ int main(int argc, char** argv) {
   args.flag("metrics-json", "PATH", "write the final adres.metrics.v1 snapshot",
             &metricsJsonPath);
   args.flag("sentinel", "RATE",
-            "divergence-sentinel sample rate in [0,1] (1 audits everything)",
+            "divergence-sentinel sample rate in [0,1] (1 audits everything; "
+            "the shadow runs on the other exec tier)",
             &sentinelRate);
-  args.flag("sentinel-tier", "TIER",
-            "held-back shadow tier: reference | interpreted | native",
-            &sentinelTierName);
   args.flag("slo", "SPECS",
             "SLO spec list, e.g. 'p99: p99_latency_us < 50000; "
             "integrity: divergences < 1'",
@@ -111,11 +108,9 @@ int main(int argc, char** argv) {
   bench::ExecTierFlag tierFlag(args);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
   ExecTier tier;
-  ExecTier sentinelTier;
   std::vector<obs::SloSpec> sloSpecs;
   try {
     tier = tierFlag.resolve();
-    sentinelTier = parseExecTier(sentinelTierName);
     if (!sloSpecsText.empty()) sloSpecs = obs::parseSloSpecList(sloSpecsText);
   } catch (const SimError& e) {
     fprintf(stderr, "bench_farm: %s\n", e.what());
@@ -184,7 +179,6 @@ int main(int argc, char** argv) {
     if (auditRate >= 0) {
       fc.sentinel.enabled = true;
       fc.sentinel.sampleRate = auditRate;
-      fc.sentinel.shadowTier = sentinelTier;
       fc.sentinel.bundleOnDivergence = !postmortemDir.empty();
     }
     if (!postmortemDir.empty()) {

@@ -42,7 +42,8 @@ struct Fabric {
 
 double measureGops(u32 trips) {
   Fabric f;
-  const CgaRunResult r = f.array.run(saturatingKernel(), trips);
+  const KernelPlan plan = buildKernelPlan(saturatingKernel(), defaultExecTier());
+  const CgaRunResult r = f.array.run(plan, trips);
   // ops16 16-bit operations over r.cycles at 400 MHz.
   const double opsPerCycle =
       static_cast<double>(f.act.ops16) / static_cast<double>(r.cycles);

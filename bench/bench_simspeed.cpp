@@ -79,15 +79,18 @@ int main(int argc, char** argv) {
     Fabric f;
     prepareFabric(f);
     c.setup(f);
-    (void)f.array.run(c.config, c.trips, tier);  // warm-up (and plan build)
+    (void)f.array.run(buildKernelPlan(c.config, tier), c.trips);  // warm-up
     Measure m;
     m.name = c.name;
     const auto t0 = std::chrono::steady_clock::now();
     do {
       // Re-seed the live-ins every launch so pointers/indices the kernel
-      // writes back never walk out of the fixture's address plan.
+      // writes back never walk out of the fixture's address plan.  The plan
+      // is rebuilt per launch, as in the committed BENCH_simspeed.json
+      // baseline rows.
       c.setup(f);
-      const CgaRunResult r = f.array.run(c.config, c.trips, tier);
+      const CgaRunResult r =
+          f.array.run(buildKernelPlan(c.config, tier), c.trips);
       m.simCycles += r.cycles;
       ++m.runs;
       m.hostMs = msSince(t0);

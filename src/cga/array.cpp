@@ -58,230 +58,22 @@ Word CgaArray::readSrc(int fu, const SrcSel& s, i32 imm) {
   return 0;
 }
 
-CgaRunResult CgaArray::run(const KernelConfig& k, u32 trips, u64 traceBase,
-                           u32 kernelId) {
-  return run(buildKernelPlan(k, defaultExecTier()), trips, traceBase, kernelId);
-}
-
-CgaRunResult CgaArray::run(const KernelConfig& k, u32 trips, ExecTier tier,
-                           u64 traceBase, u32 kernelId) {
-  return run(buildKernelPlan(k, tier), trips, traceBase, kernelId);
-}
-
 CgaRunResult CgaArray::run(const KernelPlan& plan, u32 trips, u64 traceBase,
                            u32 kernelId) {
   switch (plan.tier) {
     case ExecTier::kReference:
       return runReferenceLoop(plan.source, trips, traceBase, kernelId);
-    case ExecTier::kInterpreted:
-      return runInterpreted(plan, trips, traceBase, kernelId);
     case ExecTier::kNative:
-      ADRES_CHECK(plan.native != nullptr,
-                  "kNative plan '" << plan.name << "' has no native section");
-      // Tracing needs per-op event emission; the interpreted loop produces
-      // the identical stream, results and counters.
-      if (trace_) return runInterpreted(plan, trips, traceBase, kernelId);
+      // Tracing needs per-op event emission; the reference loop produces
+      // the identical results and counters plus the event stream.
+      if (trace_)
+        return runReferenceLoop(plan.source, trips, traceBase, kernelId);
       return runNative(plan, trips, traceBase);
   }
   ADRES_CHECK(false, "unknown exec tier "
                          << static_cast<int>(plan.tier) << " for kernel '"
-                         << plan.name << "'");
+                         << plan.source.name << "'");
   return {};
-}
-
-CgaRunResult CgaArray::runInterpreted(const KernelPlan& plan, u32 trips,
-                                      u64 traceBase, u32 kernelId) {
-  CgaRunResult res;
-  std::array<u32, kCgaFus> fuOps = {};  // per-FU trace occupancy
-  // Each kernel launch runs on its own local timeline; clear the bank-port
-  // bookings left by previous launches or VLIW-mode accesses.
-  l1_.arbiter().reset();
-
-  for (const Preload& p : plan.preloads) {
-    ++act_.cdrfCgaAccesses;
-    localRfs_[p.fu].write(p.localReg, crf_.read(p.globalReg));
-  }
-  const u64 preCycles = (plan.preloads.size() + 2) / 3;
-
-  const u64 ii = static_cast<u64>(plan.ii);
-  const u64 totalLogical =
-      trips == 0 ? 0
-                 : (static_cast<u64>(trips) - 1) * ii +
-                       static_cast<u64>(plan.schedLength);
-  // One ultra-wide configuration word per logical cycle, booked up front.
-  cfg_.noteContextFetches(totalLogical);
-
-  u64 wall = 0;  // wall cycles elapsed in the array (logical + stalls)
-
-  // Commits due at cycle `g` (before reads), in issue order.
-  auto commitSlot = [&](u64 g) {
-    auto& slot = wheel_[g & kCgaWheelMask];
-    for (const PendingWrite& pw : slot) commitWrite(pw);
-    slot.clear();
-  };
-
-  // Functional dispatch of one active op at logical cycle `g`.
-  auto execOp = [&](const PlanOp& op, u64 g, int& stallThisCycle) {
-    if (op.kind == PlanOpKind::kCompute) {
-      const Word a = readSrc(op.fu, op.src1, op.imm);
-      const Word b = op.src2.kind == SrcKind::kImm
-                         ? op.immOperand
-                         : readSrc(op.fu, op.src2, op.imm);
-      PendingWrite pw;
-      pw.commitCycle = g + static_cast<u64>(op.lat);
-      pw.fu = op.fu;
-      pw.dst = op.dst;
-      pw.value = evalOp(op.op, a, b, op.imm);
-      wheel_[pw.commitCycle & kCgaWheelMask].push_back(pw);
-      return;
-    }
-    const Word base = readSrc(op.fu, op.src1, op.imm);
-    const Word off = op.src2.kind == SrcKind::kImm
-                         ? op.immOperand
-                         : readSrc(op.fu, op.src2, op.imm);
-    const u32 addr = lo32u(base) + lo32u(off);
-    ++act_.l1CgaAccesses;
-    stallThisCycle =
-        std::max(stallThisCycle, l1_.requestPort(traceBase + wall, addr));
-    if (op.kind == PlanOpKind::kStore) {
-      const Word data = readSrc(op.fu, op.src3, op.imm);
-      const u32 v = op.storeHigh ? static_cast<u32>(data >> 32) : lo32u(data);
-      switch (op.memBytes) {
-        case 1: l1_.write8(addr, v & 0xFFu); break;
-        case 2: l1_.write16(addr, v & 0xFFFFu); break;
-        default: l1_.write32(addr, v); break;
-      }
-      return;
-    }
-    u32 raw = 0;
-    switch (op.memBytes) {
-      case 1: raw = l1_.read8(addr); break;
-      case 2: raw = l1_.read16(addr); break;
-      default: raw = l1_.read32(addr); break;
-    }
-    PendingWrite pw;
-    pw.commitCycle = g + static_cast<u64>(op.lat);
-    pw.fu = op.fu;
-    pw.dst = op.dst;
-    switch (op.loadMode) {
-      case LoadMode::kZext:
-        pw.value = static_cast<Word>(raw);
-        break;
-      case LoadMode::kSext8:
-        pw.value = static_cast<Word>(
-            static_cast<u32>(static_cast<i32>(static_cast<i8>(raw))));
-        break;
-      case LoadMode::kSext16:
-        pw.value = static_cast<Word>(
-            static_cast<u32>(static_cast<i32>(static_cast<i16>(raw))));
-        break;
-      case LoadMode::kHigh:
-        pw.value = static_cast<u64>(raw) << 32;
-        pw.mergeHigh = true;  // low half merged at commit
-        break;
-    }
-    wheel_[pw.commitCycle & kCgaWheelMask].push_back(pw);
-  };
-
-  auto endCycle = [&](int stallThisCycle) {
-    if (stallThisCycle > 0 && trace_)
-      trace_->event({traceBase + wall, static_cast<u64>(stallThisCycle),
-                     TraceEventKind::kCgaStall, 0,
-                     static_cast<u32>(StallCause::kL1Contention), 0});
-    wall += 1 + static_cast<u64>(stallThisCycle);
-    res.stallCycles += static_cast<u64>(stallThisCycle);
-  };
-
-  // Fully-guarded execution of [from, to): per-op squash checks and per-op
-  // activity accounting, exactly like the reference loop.
-  auto runGuarded = [&](u64 from, u64 to) {
-    for (u64 g = from; g < to; ++g) {
-      commitSlot(g);
-      const ContextPlan& ctx = plan.contexts[static_cast<std::size_t>(g % ii)];
-      int stallThisCycle = 0;
-      bool issued = false;
-      for (const PlanOp& op : ctx.ops) {
-        if (g < op.schedTime) continue;  // prologue squash
-        if ((g - op.schedTime) / ii >= trips) continue;  // epilogue squash
-        issued = true;
-        ++res.ops;
-        ++act_.cgaOps;
-        if (trace_) ++fuOps[op.fu];
-        if (op.isMov) {
-          ++res.routeMoves;
-          ++act_.cgaRouteMoves;
-        }
-        if (op.isSimdOp) ++act_.simdOps;
-        act_.ops16 += op.ops16;
-        execOp(op, g, stallThisCycle);
-      }
-      if (issued) ++res.issueCycles;
-      endCycle(stallThisCycle);
-    }
-  };
-
-  // Steady-state window: every op of every context is active, so squash
-  // checks vanish and activity increments batch per context.  Tracing falls
-  // back to the guarded loop (it needs per-FU op counts but nothing else —
-  // both loops emit the identical event stream).
-  u64 steadyBegin = totalLogical;
-  u64 steadyEnd = totalLogical;
-  if (!trace_ && totalLogical > 0) {
-    steadyBegin = std::min(totalLogical, static_cast<u64>(plan.maxSchedTime));
-    steadyEnd = std::min(totalLogical,
-                         static_cast<u64>(plan.minSchedTime) +
-                             static_cast<u64>(trips) * ii);
-    if (steadyEnd < steadyBegin) steadyEnd = steadyBegin;
-  }
-
-  runGuarded(0, steadyBegin);
-  for (u64 g = steadyBegin; g < steadyEnd; ++g) {
-    commitSlot(g);
-    const ContextPlan& ctx = plan.contexts[static_cast<std::size_t>(g % ii)];
-    if (ctx.opCount) ++res.issueCycles;
-    res.ops += ctx.opCount;
-    act_.cgaOps += ctx.opCount;
-    res.routeMoves += ctx.movCount;
-    act_.cgaRouteMoves += ctx.movCount;
-    act_.simdOps += ctx.simdCount;
-    act_.ops16 += ctx.ops16Sum;
-    int stallThisCycle = 0;
-    for (const PlanOp& op : ctx.ops) execOp(op, g, stallThisCycle);
-    endCycle(stallThisCycle);
-  }
-  runGuarded(steadyEnd, totalLogical);
-
-  // Drain writes still pending past the last logical cycle, in cycle order.
-  // Latencies are wheel-bounded, so scanning one wheel turn covers them all.
-  u64 tail = totalLogical;
-  for (u64 c = totalLogical; c < totalLogical + kCgaWheelSlots; ++c) {
-    auto& slot = wheel_[c & kCgaWheelMask];
-    if (slot.empty()) continue;
-    for (const PendingWrite& pw : slot) commitWrite(pw);
-    slot.clear();
-    tail = c;
-  }
-  const u64 drainExtra = tail - totalLogical;
-
-  for (const Writeback& wb : plan.writebacks) {
-    ++act_.cdrfCgaAccesses;
-    crf_.write(wb.globalReg, localRfs_[wb.fu].peek(wb.localReg));
-  }
-  const u64 wbCycles = (plan.writebacks.size() + 2) / 3;
-
-  res.arrayCycles = totalLogical;
-  res.cycles = preCycles + wall + drainExtra + wbCycles;
-  act_.cgaCycles += res.cycles;
-  act_.cgaStallCycles += res.stallCycles;
-  if (trace_) {
-    for (int fu = 0; fu < kCgaFus; ++fu) {
-      if (fuOps[static_cast<std::size_t>(fu)] == 0) continue;
-      trace_->event({traceBase, res.cycles, TraceEventKind::kFuActive,
-                     static_cast<u8>(fu), kernelId,
-                     fuOps[static_cast<std::size_t>(fu)]});
-    }
-  }
-  return res;
 }
 
 CgaRunResult CgaArray::runReferenceLoop(const KernelConfig& k, u32 trips,

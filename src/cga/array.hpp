@@ -1,10 +1,11 @@
 // CGA array execution engine.
 //
-// Runs a mapped loop (KernelConfig) for a given trip count, cycle by cycle:
-// context slot = cycle mod II, software-pipeline prologue/epilogue squashing
-// via each op's schedTime, registered FU outputs, local/central RF traffic,
-// L1 bank arbitration with whole-array stall on contention (the paper's
-// transparent queuing), and activity accounting for the power model.
+// Runs a mapped loop (a KernelPlan decoded from its KernelConfig) for a
+// given trip count, cycle by cycle: context slot = cycle mod II,
+// software-pipeline prologue/epilogue squashing via each op's schedTime,
+// registered FU outputs, local/central RF traffic, L1 bank arbitration with
+// whole-array stall on contention (the paper's transparent queuing), and
+// activity accounting for the power model.
 //
 // Timing convention: an op issued at logical cycle g commits its results
 // (output register, RF writes) at the start of cycle g+latency — commits
@@ -13,7 +14,6 @@
 #pragma once
 
 #include <array>
-
 #include <vector>
 
 #include "common/activity.hpp"
@@ -49,27 +49,17 @@ class CgaArray {
            ActivityCounters& act)
       : crf_(crf), l1_(l1), cfg_(cfg), act_(act) {}
 
-  /// Executes `k` for `trips` iterations at the session's default tier
-  /// (defaultExecTier()).  The caller (core) accounts the mode-switch
-  /// overhead; this returns the in-mode cycle cost.  `traceBase` anchors
-  /// the kernel-local timeline on the core's absolute cycle counter and
-  /// `kernelId` labels trace events; both are trace-only.  Pre-decodes the
-  /// kernel and delegates to the plan overload.
-  CgaRunResult run(const KernelConfig& k, u32 trips, u64 traceBase = 0,
-                   u32 kernelId = 0);
-
-  /// Same, at an explicit execution tier.
-  CgaRunResult run(const KernelConfig& k, u32 trips, ExecTier tier,
-                   u64 traceBase = 0, u32 kernelId = 0);
-
-  /// Executes a pre-decoded plan, dispatching on the tier it was built for
-  /// (DESIGN.md §14): kReference replays the original per-cycle loop over
-  /// the plan's source config, kInterpreted runs the dense-op-list loop,
-  /// kNative runs the template-specialized loop with whole-launch batched
-  /// statistics and no-retire cycle skipping.  All tiers are bit- and
-  /// cycle-exact with each other (tests/cga/fastpath_ab_test); a kNative
-  /// plan with a trace sink attached runs the interpreted loop, which
-  /// emits the identical event stream.
+  /// Executes a pre-decoded plan for `trips` iterations, dispatching on the
+  /// tier it was built for (DESIGN.md §14): kReference replays the original
+  /// per-cycle loop over the plan's source config, kNative runs the
+  /// template-specialized loop with whole-launch batched statistics and
+  /// no-retire cycle skipping.  Both tiers are bit- and cycle-exact with
+  /// each other (tests/cga/fastpath_ab_test); a kNative plan with a trace
+  /// sink attached runs the reference loop, the one that emits per-op
+  /// events.  The caller (core) accounts the mode-switch overhead; this
+  /// returns the in-mode cycle cost.  `traceBase` anchors the kernel-local
+  /// timeline on the core's absolute cycle counter and `kernelId` labels
+  /// trace events; both are trace-only.
   CgaRunResult run(const KernelPlan& plan, u32 trips, u64 traceBase = 0,
                    u32 kernelId = 0);
 
@@ -101,13 +91,9 @@ class CgaArray {
 
   Word readSrc(int fu, const SrcSel& s, i32 imm);
 
-  /// kInterpreted tier: the dense-op-list loop (guarded edges, batched
-  /// steady window, commit wheel).
-  CgaRunResult runInterpreted(const KernelPlan& plan, u32 trips, u64 traceBase,
-                              u32 kernelId);
-
   /// kReference tier: the original per-cycle re-classification loop with a
-  /// sorted pending queue — the equivalence oracle for the A/B/C tests.
+  /// sorted pending queue — the equivalence oracle for the A/B tests and
+  /// the traced path.
   CgaRunResult runReferenceLoop(const KernelConfig& k, u32 trips,
                                 u64 traceBase, u32 kernelId);
 
@@ -115,12 +101,6 @@ class CgaArray {
   /// pointers once per launch, then runs the template-specialized loop.
   CgaRunResult runNative(const KernelPlan& plan, u32 trips, u64 traceBase);
   void resolveNative(const KernelPlan& plan);
-
-  /// Commit wheel: slot g & kCgaWheelMask holds the writes due at logical
-  /// cycle g, in issue order (the deterministic commit order of the sorted
-  /// reference queue).  Member state so slot capacity persists across
-  /// launches; every run leaves all slots empty.
-  std::array<std::vector<PendingWrite>, kCgaWheelSlots> wheel_;
 
   /// Native-tier launch scratch: resolved ops and the flat commit wheel
   /// (kCgaWheelSlots x maxCommitDepth, slot-major).  Member state so the

@@ -10,7 +10,6 @@ namespace adres {
 const char* execTierName(ExecTier t) {
   switch (t) {
     case ExecTier::kReference: return "reference";
-    case ExecTier::kInterpreted: return "interpreted";
     case ExecTier::kNative: return "native";
   }
   return "unknown";
@@ -18,10 +17,9 @@ const char* execTierName(ExecTier t) {
 
 ExecTier parseExecTier(std::string_view s) {
   if (s == "reference") return ExecTier::kReference;
-  if (s == "interpreted") return ExecTier::kInterpreted;
   if (s == "native") return ExecTier::kNative;
   throw SimError("unknown exec tier '" + std::string(s) +
-                 "' (expected reference, interpreted or native)");
+                 "' (expected reference or native)");
 }
 
 ExecTier defaultExecTier() {

@@ -1,6 +1,6 @@
-// Native execution tier: plan specialization (buildNativePlan) and the
-// specialized launch loop (CgaArray::runNative).  See cga/native.hpp for
-// the tier's design and DESIGN.md §14 for the exactness contract.
+// Native execution tier: the specialized loop bodies (nativeExecFn) and
+// the launch loop (CgaArray::runNative).  See cga/native.hpp for the tier's
+// design and DESIGN.md §14 for the exactness contract.
 #include "cga/native.hpp"
 
 #include <algorithm>
@@ -12,6 +12,15 @@
 
 namespace adres {
 namespace {
+
+/// How a load's raw memory word becomes the committed register value
+/// (pre-decoded applyLoadResult).
+enum class LoadMode : u8 {
+  kZext,   ///< LD_UC / LD_UC2 / LD_I: width-masked raw, high half cleared
+  kSext8,  ///< LD_C
+  kSext16, ///< LD_C2
+  kHigh,   ///< LD_IH: raw << 32, low half merged at commit
+};
 
 // Pushes one result onto the flat commit wheel.  The slot holds only
 // commits due at a single cycle (every processed cycle drains its slot and
@@ -88,138 +97,25 @@ NativeExecFn computeFn(Opcode op) {
   return nullptr;
 }
 
-NativeExecFn loadFn(const PlanOp& op) {
-  switch (op.memBytes) {
-    case 1:
-      return op.loadMode == LoadMode::kSext8 ? &execLoad<1, LoadMode::kSext8>
-                                             : &execLoad<1, LoadMode::kZext>;
-    case 2:
-      return op.loadMode == LoadMode::kSext16 ? &execLoad<2, LoadMode::kSext16>
-                                              : &execLoad<2, LoadMode::kZext>;
-    default:
-      return op.loadMode == LoadMode::kHigh ? &execLoad<4, LoadMode::kHigh>
-                                            : &execLoad<4, LoadMode::kZext>;
-  }
-}
-
-NativeExecFn storeFn(const PlanOp& op) {
-  switch (op.memBytes) {
-    case 1: return &execStore<1, false>;
-    case 2: return &execStore<2, false>;
-    default: return op.storeHigh ? &execStore<4, true> : &execStore<4, false>;
-  }
-}
-
 }  // namespace
 
-std::shared_ptr<const NativePlan> buildNativePlan(const KernelPlan& plan) {
-  auto np = std::make_shared<NativePlan>();
-  const std::size_t ii = plan.contexts.size();
-  np->contexts.resize(ii);
-  NativeIterStats& it = np->perIter;
-
-  // Commits landing at each residue per steady-state iteration.  Guarded
-  // prologue/epilogue cycles issue subsets of the steady pattern, so these
-  // depths bound every cycle of a launch.
-  std::vector<u32> depth(ii, 0);
-
-  // Operand-read accounting, mirroring CgaArray::readSrc: kOutput bumps
-  // transports (mesh mux traversal), kLocalRf reads the consuming FU's
-  // file, kGlobalRf is a CDRF access + central-file read; immediates and
-  // kNone are free.
-  auto noteRead = [&](const SrcSel& s, u8 fu) {
-    switch (s.kind) {
-      case SrcKind::kOutput: ++it.transports; break;
-      case SrcKind::kLocalRf: ++it.lrfReads[fu]; break;
-      case SrcKind::kGlobalRf: ++it.cdrf; ++it.crfReads; break;
-      default: break;
-    }
-  };
-
-  for (std::size_t c = 0; c < ii; ++c) {
-    NativeContextInfo& ci = np->contexts[c];
-    ci.begin = static_cast<u32>(np->ops.size());
-    for (const PlanOp& op : plan.contexts[c].ops) {
-      NativeOpSpec s;
-      s.fu = op.fu;
-      s.lat = op.lat;
-      s.schedTime = op.schedTime;
-      s.src1 = op.src1;
-      s.src2 = op.src2;
-      s.src3 = op.src3;
-      s.dst = op.dst;
-      s.imm = op.imm;
-      s.mergeHigh =
-          op.kind == PlanOpKind::kLoad && op.loadMode == LoadMode::kHigh;
-      // src1/src3 immediates are the raw control field; only src2 carries
-      // the pre-scaled memory immediate.
-      if (s.src1.kind == SrcKind::kImm) s.imm1 = fromScalar(op.imm);
-      if (s.src2.kind == SrcKind::kImm) s.imm2 = op.immOperand;
-      if (s.src3.kind == SrcKind::kImm) s.imm3 = fromScalar(op.imm);
-
-      ++it.ops;
-      if (op.isMov) ++it.movs;
-      if (op.isSimdOp) ++it.simd;
-      it.ops16 += op.ops16;
-      noteRead(op.src1, op.fu);
-      noteRead(op.src2, op.fu);
-      switch (op.kind) {
-        case PlanOpKind::kCompute:
-          s.fn = computeFn(op.op);
-          break;
-        case PlanOpKind::kLoad:
-          s.fn = loadFn(op);
-          ++it.l1Reads;
-          ++it.l1Accesses;
-          break;
-        case PlanOpKind::kStore:
-          s.fn = storeFn(op);
-          noteRead(op.src3, op.fu);
-          ++it.l1Writes;
-          ++it.l1Accesses;
-          break;
-      }
-      ADRES_CHECK(s.fn != nullptr, "no native body for opcode "
-                                       << opInfo(op.op).name << " in kernel '"
-                                       << plan.name << "'");
-      if (op.kind != PlanOpKind::kStore) {
-        // Commit-side accounting: one result transport into the output
-        // register, plus the selected RF writes (commitWrite's pattern).
-        ++it.transports;
-        if (op.dst.toLocalRf) ++it.lrfWrites[op.fu];
-        if (op.dst.toGlobalRf) {
-          ++it.cdrf;
-          ++it.crfWrites;
-        }
-        ++depth[(c + op.lat) % ii];
-      }
-      np->ops.push_back(s);
-    }
-    ci.end = static_cast<u32>(np->ops.size());
-    ci.opCount = ci.end - ci.begin;
+NativeExecFn nativeExecFn(Opcode op) {
+  switch (op) {
+    case Opcode::LD_UC: return &execLoad<1, LoadMode::kZext>;
+    case Opcode::LD_C: return &execLoad<1, LoadMode::kSext8>;
+    case Opcode::LD_UC2: return &execLoad<2, LoadMode::kZext>;
+    case Opcode::LD_C2: return &execLoad<2, LoadMode::kSext16>;
+    case Opcode::LD_I: return &execLoad<4, LoadMode::kZext>;
+    case Opcode::LD_IH: return &execLoad<4, LoadMode::kHigh>;
+    case Opcode::ST_C: return &execStore<1, false>;
+    case Opcode::ST_C2: return &execStore<2, false>;
+    case Opcode::ST_I: return &execStore<4, false>;
+    case Opcode::ST_IH: return &execStore<4, true>;
+    default: return computeFn(op);
   }
-
-  np->maxCommitDepth = 1;
-  for (u32 d : depth) np->maxCommitDepth = std::max(np->maxCommitDepth, d);
-
-  // No-retire skip runs: a residue is idle iff it issues no op and no
-  // commit ever lands on it in steady state.  Consecutive idle residues
-  // collapse into one cycle-counter jump.
-  std::vector<bool> idle(ii);
-  for (std::size_t r = 0; r < ii; ++r)
-    idle[r] = np->contexts[r].opCount == 0 && depth[r] == 0;
-  for (std::size_t r = 0; r < ii; ++r) {
-    if (!idle[r]) continue;
-    u32 run = 0;
-    while (run < ii && idle[(r + run) % ii]) ++run;
-    np->contexts[r].skipRun = run;
-  }
-  return np;
 }
 
 void CgaArray::resolveNative(const KernelPlan& plan) {
-  const NativePlan& np = *plan.native;
-
   // Operand pointer: FU output register, RF slot, or the spec's immediate
   // storage (which also serves kNone as a zero).  Plans are immutable and
   // outlive the launch, so aliasing their immediates is safe.
@@ -233,9 +129,9 @@ void CgaArray::resolveNative(const KernelPlan& plan) {
     }
   };
 
-  nativeOps_.resize(np.ops.size());
-  for (std::size_t i = 0; i < np.ops.size(); ++i) {
-    const NativeOpSpec& s = np.ops[i];
+  nativeOps_.resize(plan.ops.size());
+  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+    const NativeOpSpec& s = plan.ops[i];
     NativeResolvedOp& r = nativeOps_[i];
     const std::size_t fu = s.fu;
     r.fn = s.fn;
@@ -256,28 +152,28 @@ void CgaArray::resolveNative(const KernelPlan& plan) {
                                       : static_cast<const Word*>(r.out));
   }
 
-  const std::size_t need = kCgaWheelSlots * np.maxCommitDepth;
+  const std::size_t need = kCgaWheelSlots * plan.maxCommitDepth;
   if (nativeWheel_.size() < need) nativeWheel_.resize(need);
   nativeWheelCounts_.fill(0);
 }
 
 CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
                                  u64 traceBase) {
-  const NativePlan& np = *plan.native;
+  const KernelConfig& k = plan.source;
   CgaRunResult res;
   // Each kernel launch runs on its own local timeline; clear the bank-port
   // bookings left by previous launches or VLIW-mode accesses.
   l1_.arbiter().reset();
 
-  for (const Preload& p : plan.preloads)
+  for (const Preload& p : k.preloads)
     localRfs_[p.fu].poke(p.localReg, crf_.peek(p.globalReg));
-  const u64 preCycles = (plan.preloads.size() + 2) / 3;
+  const u64 preCycles = (k.preloads.size() + 2) / 3;
 
-  const u64 ii = static_cast<u64>(plan.ii);
+  const u64 ii = static_cast<u64>(k.ii);
   const u64 totalLogical =
       trips == 0 ? 0
                  : (static_cast<u64>(trips) - 1) * ii +
-                       static_cast<u64>(plan.schedLength);
+                       static_cast<u64>(k.schedLength);
   cfg_.noteContextFetches(totalLogical);
 
   resolveNative(plan);
@@ -285,7 +181,7 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
   e.l1 = &l1_;
   e.wheel = nativeWheel_.data();
   e.wheelCount = nativeWheelCounts_.data();
-  e.depth = np.maxCommitDepth;
+  e.depth = plan.maxCommitDepth;
   e.traceBase = traceBase;
 
   // Commits due at cycle `g` (before reads), in issue order.
@@ -311,7 +207,7 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
   auto runGuarded = [&](u64 from, u64 to) {
     for (u64 g = from; g < to; ++g) {
       drainSlot(g);
-      const NativeContextInfo& ctx = np.contexts[g % ii];
+      const NativeContextInfo& ctx = plan.contexts[g % ii];
       e.g = g;
       e.stall = 0;
       bool issued = false;
@@ -350,7 +246,7 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
   u64 g = steadyBegin;
   while (g < steadyEnd) {
     drainSlot(g);
-    const NativeContextInfo& ctx = np.contexts[g % ii];
+    const NativeContextInfo& ctx = plan.contexts[g % ii];
     if (ctx.skipRun != 0 && g >= skipSafe) {
       const u64 run = std::min<u64>(ctx.skipRun, steadyEnd - g);
       g += run;
@@ -380,18 +276,18 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
   }
   const u64 drainExtra = tail - totalLogical;
 
-  for (const Writeback& wb : plan.writebacks)
+  for (const Writeback& wb : k.writebacks)
     crf_.poke(wb.globalReg, localRfs_[wb.fu].peek(wb.localReg));
-  const u64 wbCycles = (plan.writebacks.size() + 2) / 3;
+  const u64 wbCycles = (k.writebacks.size() + 2) / 3;
 
   // Whole-launch batched statistics: every scheduled op issues exactly
   // `trips` times, so op-derived counters are perIter * trips plus the
   // preload/writeback constants.  Only issue/stall/conflict counts (booked
   // live above) and the wall clock are dynamic.
   const u64 t = trips;
-  const NativeIterStats& it = np.perIter;
-  const u64 nPre = plan.preloads.size();
-  const u64 nWb = plan.writebacks.size();
+  const NativeIterStats& it = plan.perIter;
+  const u64 nPre = k.preloads.size();
+  const u64 nWb = k.writebacks.size();
 
   res.ops = it.ops * t;
   res.routeMoves = it.movs * t;
@@ -421,7 +317,7 @@ CgaRunResult CgaArray::runNative(const KernelPlan& plan, u32 trips,
     rs.reads += it.lrfReads[fu] * t;
     rs.writes += it.lrfWrites[fu] * t;
   }
-  for (const Preload& p : plan.preloads) ++localRfs_[p.fu].mutableStats().writes;
+  for (const Preload& p : k.preloads) ++localRfs_[p.fu].mutableStats().writes;
 
   return res;
 }

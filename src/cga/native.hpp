@@ -1,20 +1,12 @@
-// Native execution tier (DESIGN.md §14): the plan-to-native lowering
-// behind ExecTier::kNative.
+// Native execution tier (DESIGN.md §14): the launch-time half of
+// ExecTier::kNative.
 //
-// buildNativePlan specializes a decoded KernelPlan at plan-build time:
-//  - every op gets a function pointer to a template-instantiated loop body
-//    specialized per (dispatch kind, latency class) — realized per opcode,
-//    so evalOp's switch constant-folds into the body (compute), and the
-//    memory width / extension mode / half-select collapse to straight-line
-//    code (loads, stores);
-//  - per-iteration statistics (op counts, operand transports, RF and L1
-//    traffic, down to per-FU local-RF reads/writes) are pre-summed once.
-//    Every scheduled op issues exactly `trips` times per launch, so every
-//    op-derived counter of a launch is `perIter * trips` plus the
-//    preload/writeback constants — the executing loop touches no counter;
-//  - per-residue commit landing depths bound the flat commit wheel, and
-//    residues on which no op issues and no result retires are folded into
-//    no-retire skip runs the steady loop jumps over in one step.
+// buildKernelPlan (cga/plan.cpp) lowers every FU op to a NativeOpSpec whose
+// body comes from nativeExecFn: a template-instantiated loop body
+// specialized per (dispatch kind, latency class) — realized per opcode, so
+// evalOp's switch constant-folds into the body (compute), and the memory
+// width / extension mode / half-select collapse to straight-line code
+// (loads, stores).
 //
 // At launch, CgaArray resolves each op's operand/destination selectors
 // into raw pointers (FU output registers, local/central RF slots, plan
@@ -24,24 +16,11 @@
 // cycle-exact with the reference loop (tests/cga/fastpath_ab_test).
 #pragma once
 
-#include <array>
-#include <memory>
-#include <vector>
-
 #include "cga/plan.hpp"
 
 namespace adres {
 
 class Scratchpad;
-
-struct NativeResolvedOp;
-struct NativeEngine;
-
-/// A specialized steady-loop body: executes one op at the engine's current
-/// cycle (reads through resolved pointers, pushes its commit, books L1
-/// ports).  Instantiated from templates over (dispatch kind, latency
-/// class) — per opcode for compute ops, per (width, mode) for memory ops.
-using NativeExecFn = void (*)(const NativeResolvedOp&, NativeEngine&);
 
 /// One op with every operand resolved to a raw pointer for one CgaArray
 /// instance (filled per launch from the plan's NativeOpSpec).
@@ -78,65 +57,9 @@ struct NativeEngine {
   int stall = 0;                   ///< max port wait this cycle
 };
 
-/// Build-time form of one op: everything resolution needs, plus the stable
-/// storage the resolved immediate pointers alias (plans are immutable and
-/// outlive every launch).
-struct NativeOpSpec {
-  NativeExecFn fn = nullptr;
-  u8 fu = 0;
-  u8 lat = 1;
-  u16 schedTime = 0;
-  SrcSel src1, src2, src3;
-  DstSel dst;
-  i32 imm = 0;
-  /// Operand values when the corresponding src is kImm (0 for kNone);
-  /// imm2 is the pre-scaled memory immediate for memory ops.
-  Word imm1 = 0, imm2 = 0, imm3 = 0;
-  bool mergeHigh = false;
-};
-
-struct NativeContextInfo {
-  u32 begin = 0;  ///< flat [begin, end) op range of this context slot
-  u32 end = 0;
-  u32 opCount = 0;
-  /// No-retire cycle skip: the number of consecutive steady-state cycles,
-  /// starting at this residue, on which no op issues AND no commit retires
-  /// (0 when this residue is active).  The steady loop advances the cycle
-  /// counter across the whole run in one step.
-  u32 skipRun = 0;
-};
-
-/// Per-iteration statically-known statistics.  Every scheduled op issues
-/// exactly `trips` times per launch, so a launch adds `perIter * trips`
-/// (plus the preload/writeback constants) to each counter.
-struct NativeIterStats {
-  u64 ops = 0;
-  u64 movs = 0;
-  u64 simd = 0;
-  u64 ops16 = 0;
-  u64 transports = 0;   ///< kOutput operand reads + one per committed result
-  u64 cdrf = 0;         ///< CDRF accesses (kGlobalRf reads + toGlobalRf commits)
-  u64 crfReads = 0;
-  u64 crfWrites = 0;
-  u64 l1Reads = 0;
-  u64 l1Writes = 0;
-  u64 l1Accesses = 0;
-  std::array<u64, kCgaFus> lrfReads = {};
-  std::array<u64, kCgaFus> lrfWrites = {};
-};
-
-/// The native specialization of one kernel, shared read-only like the plan
-/// that owns it.
-struct NativePlan {
-  std::vector<NativeOpSpec> ops;  ///< contexts concatenated, FU-ascending
-  std::vector<NativeContextInfo> contexts;  ///< size == ii
-  NativeIterStats perIter;
-  /// Max commits retiring on any single cycle (sizes the flat wheel).
-  u32 maxCommitDepth = 1;
-};
-
-/// Specializes `plan` (built with all common sections filled) for the
-/// native tier.  Called by buildKernelPlan when tier == kNative.
-std::shared_ptr<const NativePlan> buildNativePlan(const KernelPlan& plan);
+/// The specialized loop body for `op`: per opcode for compute ops, per
+/// (width, extension mode) for loads and per (width, half) for stores.
+/// Null only for an opcode outside the ISA.
+NativeExecFn nativeExecFn(Opcode op);
 
 }  // namespace adres

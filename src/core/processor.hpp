@@ -97,11 +97,11 @@ class Processor {
   /// Loads a program: validates it, encodes+decodes the text (exercising the
   /// binary path), places data segments in L1 via DMA, encodes kernels into
   /// configuration memory via DMA, resets the pipeline.  `policy` selects
-  /// how kernel launches execute (DESIGN.md §14): its tier picks the plan
-  /// flavour, and its optional pre-built plan set is adopted when supplied
-  /// (the packet farm shares one read-only set across workers; it must have
-  /// been built at the policy's tier).  When no plans are supplied they are
-  /// built here from the loaded kernels.
+  /// how kernel launches execute (DESIGN.md §14): its tier picks the loop
+  /// the plans run on, and its optional pre-built plan set is adopted when
+  /// supplied (the packet farm shares one read-only set across workers; it
+  /// must have been built at the policy's tier).  When no plans are
+  /// supplied they are built here from the loaded kernels.
   void load(const Program& prog, ExecPolicy policy = {});
 
   // -- Execution -------------------------------------------------------------

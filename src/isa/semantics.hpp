@@ -9,7 +9,7 @@
 // can instantiate it with a compile-time opcode (template<Opcode Op>
 // steady-loop bodies constant-fold the whole switch down to one case);
 // evalOp in semantics.cpp stays the single out-of-line entry point for the
-// interpreted and reference tiers.
+// reference tier and the VLIW pipeline.
 #pragma once
 
 #include "common/check.hpp"

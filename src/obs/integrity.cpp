@@ -17,6 +17,11 @@ const char* integrityEventKindName(IntegrityEvent::Kind k) {
   return "?";
 }
 
+ExecTier shadowTierFor(ExecTier primary) {
+  return primary == ExecTier::kNative ? ExecTier::kReference
+                                      : ExecTier::kNative;
+}
+
 namespace {
 
 bool regionProfilesEqual(const RegionProfile& a, const RegionProfile& b) {
@@ -91,8 +96,12 @@ std::optional<IntegrityEvent> compareDecodes(const DecodeSummary& primary,
   return ev;
 }
 
-DivergenceSentinel::DivergenceSentinel(SentinelConfig cfg, ShadowDecodeFn shadow)
-    : cfg_(cfg), shadow_(std::move(shadow)) {
+DivergenceSentinel::DivergenceSentinel(SentinelConfig cfg,
+                                       ExecTier primaryTier,
+                                       ShadowDecodeFn shadow)
+    : cfg_(cfg),
+      shadowTier_(shadowTierFor(primaryTier)),
+      shadow_(std::move(shadow)) {
   // hash < rate * 2^64, computed carefully at the rate==1 edge: 1.0 * 2^64
   // overflows u64, so saturate to "always".
   double rate = cfg_.sampleRate;
@@ -128,7 +137,7 @@ std::optional<IntegrityEvent> DivergenceSentinel::audit(
     out->tag = tag;
     out->worker = worker;
     out->traceId = traceId;
-    out->shadowTier = execTierName(cfg_.shadowTier);
+    out->shadowTier = execTierName(shadowTier_);
     if (bundleFn_ && cfg_.bundleOnDivergence) {
       // The decode is deterministic, so a second shadow run — this time with
       // the flight recorder attached — reproduces the divergent decode

@@ -7,8 +7,10 @@
 // (hashed off the packet trace id, so the sampled subset is identical
 // across runs and worker counts) selects a configurable fraction of decoded
 // packets and shadow-decodes their retained rx payload on a held-back
-// lower-tier decoder, comparing decoded bits, the simulated cycle count,
-// the result metadata and the per-region counter partition.  Any mismatch
+// decoder running the OTHER exec tier — reference behind a native farm,
+// native behind a reference farm (a same-tier shadow would audit nothing
+// independent) — comparing decoded bits, the simulated cycle count, the
+// result metadata and the per-region counter partition.  Any mismatch
 // becomes a structured IntegrityEvent — and, through the bundle hook, a
 // replayable `adres.postmortem.v1` bundle carrying the exact payload.
 //
@@ -42,11 +44,6 @@ struct SentinelConfig {
   /// Mixed into the sampling hash; changing it selects a different (still
   /// deterministic) packet subset.
   u64 seed = 0x51DE'C0DEull;
-  /// Tier of the held-back shadow decoder.  Interpreted by default: it is
-  /// an independent execution path from the native tier and ~3.5x cheaper
-  /// than reference, which keeps 1% sampling under the farm's 5% overhead
-  /// budget.
-  ExecTier shadowTier = ExecTier::kInterpreted;
   /// Write an adres.postmortem.v1 bundle (via the bundle hook) per
   /// divergence.
   bool bundleOnDivergence = true;
@@ -94,6 +91,9 @@ struct IntegrityEvent {
 /// Stable lower_snake label for an event kind (metrics, logs).
 const char* integrityEventKindName(IntegrityEvent::Kind k);
 
+/// The tier that audits traffic decoded on `primary`: the other one.
+ExecTier shadowTierFor(ExecTier primary);
+
 class DivergenceSentinel {
  public:
   /// Shadow decoder: decodes `rx` on the held-back tier and summarizes the
@@ -112,7 +112,12 @@ class DivergenceSentinel {
       const std::vector<TraceEvent>& ring)>;
   using EventHook = std::function<void(const IntegrityEvent&)>;
 
-  DivergenceSentinel(SentinelConfig cfg, ShadowDecodeFn shadow);
+  /// `primaryTier` is the tier the audited traffic decodes on; `shadow`
+  /// must decode on shadowTier() == shadowTierFor(primaryTier).
+  DivergenceSentinel(SentinelConfig cfg, ExecTier primaryTier,
+                     ShadowDecodeFn shadow);
+
+  ExecTier shadowTier() const { return shadowTier_; }
 
   /// Deterministic sampling decision for a packet trace id.
   bool shouldSample(u64 traceId) const;
@@ -142,6 +147,7 @@ class DivergenceSentinel {
 
  private:
   SentinelConfig cfg_;
+  ExecTier shadowTier_;
   u64 sampleThreshold_ = 0;  ///< hash < threshold -> sampled
   ShadowDecodeFn shadow_;
   BundleFn bundleFn_;

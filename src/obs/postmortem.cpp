@@ -101,6 +101,19 @@ std::vector<cint16> parseRx(const json::JsonValue& v) {
 
 }  // namespace
 
+ResultRecord toRecord(const DecodeSummary& s) {
+  ResultRecord r;
+  r.valid = true;
+  r.detected = s.detected;
+  r.ltfStart = s.ltfStart;
+  r.stop = s.stop;
+  r.cycles = s.cycles;
+  r.totalOps = s.totalOps;
+  r.bits = s.bits;
+  r.regions = s.regions;
+  return r;
+}
+
 void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
                          const MetricsRegistry* metrics) {
   os << "{\n  \"schema\": \"adres.postmortem.v1\",\n"

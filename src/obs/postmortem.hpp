@@ -24,6 +24,7 @@
 
 #include "common/types.hpp"
 #include "core/processor.hpp"
+#include "obs/integrity.hpp"
 #include "obs/metrics.hpp"
 #include "trace/span.hpp"
 #include "trace/trace.hpp"
@@ -50,6 +51,9 @@ struct ResultRecord {
   std::vector<u8> bits;  ///< one 0/1 byte per payload bit
   std::map<int, RegionProfile> regions;  ///< per-region counter partition
 };
+
+/// The recorded (valid) form of a decode summary.
+ResultRecord toRecord(const DecodeSummary& s);
 
 struct PostmortemBundle {
   std::string trigger;  ///< "divergence" | "watchdog" | "slo_breach" | ...

@@ -129,6 +129,10 @@ class WorkerWatchdog {
                 std::chrono::steady_clock::time_point now);
   void emit(HealthEvent ev);
 
+  /// Test seam: drives pollOnce with synthetic time points, so stall
+  /// detection is checked independently of host scheduling.
+  friend struct WatchdogTestPeer;
+
   WatchdogConfig cfg_;
   std::vector<std::unique_ptr<WorkerHealth>> health_;
 

@@ -16,19 +16,6 @@ namespace {
 /// under audit rides across the obs-layer boundary in a thread-local.
 thread_local const trace::PacketSpans* tlAuditSpans = nullptr;
 
-obs::ResultRecord toRecord(const obs::DecodeSummary& s) {
-  obs::ResultRecord r;
-  r.valid = true;
-  r.detected = s.detected;
-  r.ltfStart = s.ltfStart;
-  r.stop = s.stop;
-  r.cycles = s.cycles;
-  r.totalOps = s.totalOps;
-  r.bits = s.bits;
-  r.regions = s.regions;
-  return r;
-}
-
 }  // namespace
 
 void FarmStats::writeJson(std::ostream& os) const {
@@ -67,7 +54,7 @@ PacketFarm::PacketFarm(FarmConfig cfg)
     shadowModem_ = modemProgramFor(cfg_.modem);
     shadowProc_ = std::make_unique<Processor>();
     sentinel_ = std::make_unique<obs::DivergenceSentinel>(
-        cfg_.sentinel,
+        cfg_.sentinel, cfg_.run.exec.tier,
         [this](const std::array<std::vector<cint16>, 2>& rx,
                std::vector<TraceEvent>* ringOut) {
           return shadowDecode(rx, ringOut);
@@ -86,8 +73,8 @@ PacketFarm::PacketFarm(FarmConfig cfg)
             b.traceId = ev.traceId;
             b.shadowTier = ev.shadowTier;
             b.rx = rx;
-            b.primary = toRecord(primary);
-            b.shadow = toRecord(shadow);
+            b.primary = obs::toRecord(primary);
+            b.shadow = obs::toRecord(shadow);
             if (tlAuditSpans) b.spans = *tlAuditSpans;
             b.ring = ring;
             b.ringAccepted = shadowRingAccepted_;
@@ -225,8 +212,8 @@ obs::DecodeSummary PacketFarm::shadowDecode(
     std::vector<TraceEvent>* ringOut) {
   sdr::RxRunOptions opts;
   opts.maxCycles = cfg_.run.maxCycles;
-  opts.exec.tier = cfg_.sentinel.shadowTier;
-  opts.exec.plans = shadowModem_->plansFor(cfg_.sentinel.shadowTier);
+  opts.exec.tier = sentinel_->shadowTier();
+  opts.exec.plans = shadowModem_->plansFor(opts.exec.tier);
   opts.exec.warmReload = true;
   std::unique_ptr<RingBufferSink> ring;
   if (ringOut) {
@@ -235,14 +222,7 @@ obs::DecodeSummary PacketFarm::shadowDecode(
   }
   sdr::ProcessorRxResult res;
   sdr::runModemOnProcessor(*shadowProc_, *shadowModem_, rx, opts, res);
-  obs::DecodeSummary s;
-  s.detected = res.detected;
-  s.ltfStart = res.ltfStart;
-  s.stop = stopReasonName(res.stop);
-  s.cycles = res.cycles;
-  s.totalOps = shadowProc_->activity().totalOps();
-  s.bits = std::move(res.bits);
-  s.regions = shadowProc_->profiles();
+  obs::DecodeSummary s = summarizeDecode(res, *shadowProc_);
   if (ringOut) {
     *ringOut = ring->events();
     shadowRingAccepted_ = ring->accepted();
@@ -279,7 +259,7 @@ std::string PacketFarm::capturePostmortem(const std::string& trigger,
   b.worker = slow.worker;
   b.traceId = slow.traceId;
   b.rx = slow.rx;
-  b.primary = toRecord(slow.summary);
+  b.primary = obs::toRecord(slow.summary);
   b.spans = slow.spans;
   return postmortems_->write(b);
 }
@@ -581,15 +561,8 @@ void PacketFarm::workerMain(int idx) {
     // Self-auditing: summarize the primary decode once for whichever of the
     // sentinel audit / failure bundle / slowest-packet retention needs it.
     obs::DecodeSummary primary;
-    if (retainPayload) {
-      primary.detected = out.result.detected;
-      primary.ltfStart = out.result.ltfStart;
-      primary.stop = stopReasonName(out.result.stop);
-      primary.cycles = out.result.cycles;
-      primary.totalOps = session.processor().activity().totalOps();
-      primary.bits = out.result.bits;
-      primary.regions = session.processor().profiles();
-    }
+    if (retainPayload)
+      primary = summarizeDecode(out.result, session.processor());
     if (auditThis) {
       tlAuditSpans = &spans;  // rides into the bundle closure (same thread)
       (void)sentinel_->audit(job->id, job->tag, idx, out.traceId, job->rx,
@@ -605,7 +578,7 @@ void PacketFarm::workerMain(int idx) {
       b.worker = idx;
       b.traceId = out.traceId;
       b.rx = job->rx;
-      b.primary = toRecord(primary);
+      b.primary = obs::toRecord(primary);
       b.spans = spans;
       (void)postmortems_->write(b);
     }

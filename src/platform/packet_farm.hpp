@@ -99,10 +99,11 @@ struct FarmConfig {
   /// cycle-exact, but host throughput drops, so this is opt-in.
   obs::ExemplarConfig exemplars;
   /// Online divergence sentinel: deterministically sampled packets are
-  /// shadow-decoded on a held-back tier and compared bit/cycle/counter-wise
-  /// (DESIGN.md §16).  The shadow decoder is farm-private and serialized,
-  /// so primary decode results are unaffected; sampled packets pay one
-  /// extra (shadow-tier) decode of host time.
+  /// shadow-decoded on the exec tier `run.exec.tier` does not use and
+  /// compared bit/cycle/counter-wise (DESIGN.md §16).  The shadow decoder
+  /// is farm-private and serialized, so primary decode results are
+  /// unaffected; sampled packets pay one extra (shadow-tier) decode of
+  /// host time.
   obs::SentinelConfig sentinel;
   /// Postmortem bundle capture: when enabled, the farm retains the slowest
   /// packet's payload and writes adres.postmortem.v1 bundles on watchdog
@@ -298,7 +299,7 @@ class PacketFarm {
 
   void workerMain(int idx);
   /// The sentinel's ShadowDecodeFn target: one serialized decode on the
-  /// held-back tier (callers hold the sentinel lock).
+  /// sentinel's shadow tier (callers hold the sentinel lock).
   obs::DecodeSummary shadowDecode(const std::array<std::vector<cint16>, 2>& rx,
                                   std::vector<TraceEvent>* ringOut);
   /// Builds the non-payload bundle skeleton shared by every trigger path.

@@ -18,18 +18,8 @@ obs::ResultRecord decodeOnce(const sdr::ModemOnProcessor& modem,
   opts.exec.tier = tier;
   opts.exec.plans = modem.plansFor(tier);
   opts.faultInjectBitFlipSeed = faultSeed;
-  const sdr::ProcessorRxResult res =
-      sdr::runModemOnProcessor(proc, modem, b.rx, opts);
-  obs::ResultRecord r;
-  r.valid = true;
-  r.detected = res.detected;
-  r.ltfStart = res.ltfStart;
-  r.stop = stopReasonName(res.stop);
-  r.cycles = res.cycles;
-  r.totalOps = proc.activity().totalOps();
-  r.bits = res.bits;
-  r.regions = proc.profiles();
-  return r;
+  return obs::toRecord(
+      summarizeDecode(sdr::runModemOnProcessor(proc, modem, b.rx, opts), proc));
 }
 
 /// Result identity as the sentinel defines it: payload bits, result

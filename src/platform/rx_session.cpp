@@ -46,6 +46,19 @@ void clearModemProgramCache() {
   c.byConfig.clear();
 }
 
+obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
+                                   const Processor& proc) {
+  obs::DecodeSummary s;
+  s.detected = res.detected;
+  s.ltfStart = res.ltfStart;
+  s.stop = stopReasonName(res.stop);
+  s.cycles = res.cycles;
+  s.totalOps = proc.activity().totalOps();
+  s.bits = res.bits;
+  s.regions = proc.profiles();
+  return s;
+}
+
 void SessionStats::merge(const SessionStats& other) {
   packets += other.packets;
   for (const auto& [name, value] : other.counters) counters[name] += value;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/integrity.hpp"
 #include "sdr/modem_program.hpp"
 #include "trace/counters.hpp"
 #include "trace/profile.hpp"
@@ -27,6 +28,13 @@ std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
 /// Drops every cached program (test hook; outstanding shared_ptrs stay
 /// valid).
 void clearModemProgramCache();
+
+/// Summarizes a decode that just finished on `proc` for the sentinel's
+/// comparison (and, through obs::toRecord, for postmortem bundles): result
+/// metadata, decoded bits, cycles, total ops and the per-region counter
+/// partition.
+obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
+                                   const Processor& proc);
 
 /// Counter totals accumulated across the packets a session decoded.
 /// Processor stats reset on every program load, so the session sums each

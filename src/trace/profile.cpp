@@ -16,8 +16,9 @@ std::string regionName(const Processor& proc, int id) {
 
 std::string kernelName(const Processor& proc, u32 id) {
   const auto& plans = proc.kernelPlans();
-  if (plans && id < plans->kernels.size() && !plans->kernels[id].name.empty())
-    return plans->kernels[id].name;
+  if (plans && id < plans->kernels.size() &&
+      !plans->kernels[id].source.name.empty())
+    return plans->kernels[id].source.name;
   return "kernel" + std::to_string(id);
 }
 

@@ -5,9 +5,12 @@
 
 #include "cga/topology.hpp"
 #include "common/activity.hpp"
+#include "testutil.hpp"
 
 namespace adres {
 namespace {
+
+using testutil::runKernel;
 
 struct Fabric {
   CentralRegFile crf;
@@ -36,7 +39,7 @@ TEST(Array, CountedAccumulator) {
   k.writebacks.push_back({11, 5, 0});
 
   f.crf.poke(10, 100);
-  const CgaRunResult r = f.array.run(k, 25);
+  const CgaRunResult r = runKernel(f.array, k, 25);
   EXPECT_EQ(f.crf.peek(11), 125u);
   EXPECT_EQ(r.ops, 25u);
   EXPECT_EQ(r.arrayCycles, 25u);
@@ -60,7 +63,7 @@ TEST(Array, ZeroTripsWritesSeedBack) {
   k.preloads.push_back({5, 0, 10});
   k.writebacks.push_back({11, 5, 0});
   f.crf.poke(10, 7);
-  (void)f.array.run(k, 0);
+  (void)runKernel(f.array, k, 0);
   EXPECT_EQ(f.crf.peek(11), 7u);
 }
 
@@ -95,7 +98,7 @@ TEST(Array, OutputRegisterForwardingChain) {
     c.schedTime = 2;
   }
   k.writebacks.push_back({20, 8, 3});
-  const CgaRunResult r = f.array.run(k, 1);
+  const CgaRunResult r = runKernel(f.array, k, 1);
   EXPECT_EQ(f.crf.peek(20), 42u);
   EXPECT_EQ(r.ops, 3u);
   EXPECT_EQ(r.routeMoves, 2u);
@@ -129,7 +132,7 @@ TEST(Array, MultiCycleLatencyRespected) {
   k.writebacks.push_back({3, 6, 2});
   f.crf.poke(1, packLanes(16384, 16384, 16384, 16384));
   f.crf.poke(2, packLanes(16384, -16384, 8192, 0));
-  (void)f.array.run(k, 1);
+  (void)runKernel(f.array, k, 1);
   EXPECT_EQ(f.crf.peek(3), packLanes(8192, -8192, 4096, 0));
 }
 
@@ -166,7 +169,7 @@ TEST(Array, StoreAndLoadThroughL1) {
   k.writebacks.push_back({5, 1, 2});
   f.crf.poke(1, 0x80);          // address
   f.crf.poke(2, 0xCAFE0001ull); // data
-  (void)f.array.run(k, 1);
+  (void)runKernel(f.array, k, 1);
   EXPECT_EQ(f.l1.read32(0x80), 0xCAFE0001u);
   EXPECT_EQ(f.crf.peek(5), 0xCAFE0001u);
 }
@@ -204,7 +207,7 @@ TEST(Array, Ld64PairMergesAtCommit) {
   k.preloads.push_back({2, 0, 1});
   k.writebacks.push_back({6, 2, 1});
   f.crf.poke(1, 0x40);
-  (void)f.array.run(k, 1);
+  (void)runKernel(f.array, k, 1);
   EXPECT_EQ(f.crf.peek(6), 0x22222222'11111111ull);
 }
 
@@ -228,7 +231,7 @@ TEST(Array, BankConflictStallsWholeArray) {
     k.preloads.push_back({static_cast<u8>(fu), 0, 1});
   }
   f.crf.poke(1, 0x0);
-  const CgaRunResult r = f.array.run(k, 3);
+  const CgaRunResult r = runKernel(f.array, k, 3);
   EXPECT_GT(r.stallCycles, 0u) << "same-bank accesses must queue";
   EXPECT_EQ(f.l1.stats().conflicts, 3u);
 }
@@ -267,7 +270,7 @@ TEST(Array, PrologueEpilogueSquash) {
   k.writebacks.push_back({2, 5, 0});
   k.writebacks.push_back({3, 6, 0});
   f.crf.poke(1, 0);
-  const CgaRunResult r = f.array.run(k, 4);
+  const CgaRunResult r = runKernel(f.array, k, 4);
   EXPECT_EQ(f.crf.peek(2), 4u) << "A ran 4 times";
   EXPECT_EQ(f.crf.peek(3), 4u) << "B copied A's last output";
   EXPECT_EQ(r.ops, 8u) << "4 instances of each stage";
@@ -286,7 +289,7 @@ TEST(Array, ActivityCountersAdvance) {
   op.src2 = SrcSel::localRf(1);
   k.preloads.push_back({4, 0, 1});
   k.preloads.push_back({4, 1, 2});
-  (void)f.array.run(k, 10);
+  (void)runKernel(f.array, k, 10);
   EXPECT_EQ(f.act.cgaOps, 10u);
   EXPECT_EQ(f.act.simdOps, 10u);
   EXPECT_EQ(f.act.ops16, 40u);

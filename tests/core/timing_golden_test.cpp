@@ -7,9 +7,9 @@
 // regenerate the fixture with timing_golden_dump and justify the diff.
 //
 // The fixture is tier-independent: every ExecTier (DESIGN.md §14) is swept
-// against the SAME committed values, so the reference loop, the
-// interpreted plan loop and the native specialized loop are all pinned to
-// one timing model.
+// against the SAME committed values, so the reference loop and the native
+// specialized loop are both pinned to one timing model.  The traced-decode
+// event stream is pinned the same way by trace_golden.inc.
 #include <gtest/gtest.h>
 
 #include "support/timing_golden_common.hpp"
@@ -18,9 +18,9 @@ namespace adres::testsupport {
 namespace {
 
 #include "timing_golden.inc"
+#include "trace_golden.inc"
 
-constexpr ExecTier kAllTiers[] = {ExecTier::kReference, ExecTier::kInterpreted,
-                                  ExecTier::kNative};
+constexpr ExecTier kAllTiers[] = {ExecTier::kReference, ExecTier::kNative};
 
 TEST(TimingGolden, KernelRowsMatchFixtureOnEveryTier) {
   for (ExecTier tier : kAllTiers) {
@@ -66,17 +66,25 @@ void expectModemMatchesFixture(const ModemGolden& m) {
 }
 
 // One test per tier (the modem run dominates suite wall time; keep the
-// three sweeps schedulable in parallel by ctest).
+// sweeps schedulable in parallel by ctest).
 TEST(TimingGolden, ModemRunMatchesFixtureReference) {
   expectModemMatchesFixture(collectModemGolden(ExecTier::kReference));
 }
 
-TEST(TimingGolden, ModemRunMatchesFixtureInterpreted) {
-  expectModemMatchesFixture(collectModemGolden(ExecTier::kInterpreted));
-}
-
 TEST(TimingGolden, ModemRunMatchesFixtureNative) {
   expectModemMatchesFixture(collectModemGolden(ExecTier::kNative));
+}
+
+// The traced path feeds Chrome traces, exemplar rings and postmortem bundle
+// rings; every tier must emit the identical event stream.
+TEST(TimingGolden, TracedModemStreamMatchesFixtureOnEveryTier) {
+  for (int t = 0; t < kExecTierCount; ++t) {
+    const ExecTier tier = static_cast<ExecTier>(t);
+    SCOPED_TRACE(std::string("tier: ") + execTierName(tier));
+    const TraceGolden got = collectTraceGolden(tier);
+    EXPECT_EQ(got.events, kTraceEvents);
+    EXPECT_EQ(got.hash, kTraceHash);
+  }
 }
 
 }  // namespace

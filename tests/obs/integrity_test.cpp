@@ -29,8 +29,8 @@ TEST(SentinelSampling, IsDeterministicAndSeedKeyed) {
   SentinelConfig cfg;
   cfg.enabled = true;
   cfg.sampleRate = 0.5;
-  DivergenceSentinel a(cfg, {});
-  DivergenceSentinel b(cfg, {});
+  DivergenceSentinel a(cfg, ExecTier::kNative, {});
+  DivergenceSentinel b(cfg, ExecTier::kNative, {});
   int sampled = 0;
   for (u64 id = 1; id <= 2000; ++id) {
     EXPECT_EQ(a.shouldSample(id), b.shouldSample(id))
@@ -42,7 +42,7 @@ TEST(SentinelSampling, IsDeterministicAndSeedKeyed) {
   EXPECT_LT(sampled, 1200);
 
   cfg.seed ^= 0xDEADBEEFull;
-  DivergenceSentinel c(cfg, {});
+  DivergenceSentinel c(cfg, ExecTier::kNative, {});
   int differs = 0;
   for (u64 id = 1; id <= 2000; ++id)
     if (a.shouldSample(id) != c.shouldSample(id)) ++differs;
@@ -53,14 +53,14 @@ TEST(SentinelSampling, RateEdgesAreExact) {
   SentinelConfig all;
   all.enabled = true;
   all.sampleRate = 1.0;
-  DivergenceSentinel everything(all, {});
+  DivergenceSentinel everything(all, ExecTier::kNative, {});
   SentinelConfig none;
   none.enabled = true;
   none.sampleRate = 0.0;
-  DivergenceSentinel nothing(none, {});
+  DivergenceSentinel nothing(none, ExecTier::kNative, {});
   SentinelConfig off;  // disabled sentinel never samples, whatever the rate
   off.sampleRate = 1.0;
-  DivergenceSentinel disabled(off, {});
+  DivergenceSentinel disabled(off, ExecTier::kNative, {});
   for (u64 id = 1; id <= 500; ++id) {
     EXPECT_TRUE(everything.shouldSample(id));
     EXPECT_FALSE(nothing.shouldSample(id));
@@ -72,7 +72,7 @@ TEST(SentinelSampling, RateScalesTheSampledFraction) {
   SentinelConfig cfg;
   cfg.enabled = true;
   cfg.sampleRate = 0.01;
-  DivergenceSentinel s(cfg, {});
+  DivergenceSentinel s(cfg, ExecTier::kNative, {});
   int sampled = 0;
   for (u64 id = 1; id <= 100000; ++id)
     if (s.shouldSample(id)) ++sampled;
@@ -144,8 +144,10 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   cfg.sampleRate = 1.0;
   // Shadow decoder: always returns the clean summary.
   DivergenceSentinel sentinel(
-      cfg, [](const std::array<std::vector<cint16>, 2>&,
-              std::vector<TraceEvent>*) { return summary(); });
+      cfg, ExecTier::kNative,
+      [](const std::array<std::vector<cint16>, 2>&, std::vector<TraceEvent>*) {
+        return summary();
+      });
   int hookCalls = 0;
   sentinel.setEventHook([&](const IntegrityEvent& ev) {
     ++hookCalls;
@@ -178,7 +180,7 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   EXPECT_EQ(ev->tag, 42u);
   EXPECT_EQ(ev->worker, 2);
   EXPECT_EQ(ev->traceId, 1234u);
-  EXPECT_EQ(ev->shadowTier, "interpreted");
+  EXPECT_EQ(ev->shadowTier, "reference");
   EXPECT_EQ(ev->bundlePath, "bundles/b0.json");
   EXPECT_EQ(sentinel.sampled(), 2u);
   EXPECT_EQ(sentinel.divergences(), 1u);
@@ -186,6 +188,18 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   EXPECT_EQ(hookCalls, 1);
   ASSERT_EQ(sentinel.events().size(), 1u);
   EXPECT_EQ(sentinel.events()[0].kind, IntegrityEvent::Kind::kBits);
+}
+
+// The shadow is derived, never configured: a same-tier shadow would audit
+// nothing independent.
+TEST(Sentinel, ShadowRunsOnTheOtherTier) {
+  EXPECT_EQ(shadowTierFor(ExecTier::kNative), ExecTier::kReference);
+  EXPECT_EQ(shadowTierFor(ExecTier::kReference), ExecTier::kNative);
+  const SentinelConfig cfg;
+  EXPECT_EQ(DivergenceSentinel(cfg, ExecTier::kNative, {}).shadowTier(),
+            ExecTier::kReference);
+  EXPECT_EQ(DivergenceSentinel(cfg, ExecTier::kReference, {}).shadowTier(),
+            ExecTier::kNative);
 }
 
 TEST(Sentinel, EventKindNamesAreStable) {

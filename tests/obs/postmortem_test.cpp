@@ -60,7 +60,7 @@ PostmortemBundle fullBundle() {
   b.modulation = 3;  // kQam64
   b.numSymbols = 2;
   b.execTier = "native";
-  b.shadowTier = "interpreted";
+  b.shadowTier = "reference";
   b.maxCycles = 200'000'000;
   b.faultInjectSeed = 0xFA0171ull;
   for (int c = 0; c < 2; ++c)

@@ -14,6 +14,19 @@
 #include "platform/packet_farm.hpp"
 
 namespace adres::obs {
+
+/// Runs the monitor's poll step at caller-chosen time points, with the
+/// monitor thread never started.
+struct WatchdogTestPeer {
+  explicit WatchdogTestPeer(WorkerWatchdog& wd)
+      : wd(wd), obs(static_cast<std::size_t>(wd.numWorkers())) {}
+  void pollAt(std::chrono::steady_clock::time_point now) {
+    wd.pollOnce(obs, now);
+  }
+  WorkerWatchdog& wd;
+  std::vector<WorkerWatchdog::Observed> obs;
+};
+
 namespace {
 
 using namespace std::chrono_literals;
@@ -75,19 +88,47 @@ TEST(Watchdog, DetectsStallAndCancelsWhenConfigured) {
 
 TEST(Watchdog, AdvancingHeartbeatIsNotAStall) {
   WatchdogConfig cfg;
-  cfg.pollMs = 2;
   cfg.stallTimeoutMs = 30;
   WorkerWatchdog wd(1, cfg);
-  wd.start();
+  WatchdogTestPeer peer(wd);
+  std::chrono::steady_clock::time_point now{};
   wd.health(0).beginJob(1);
-  // Keep the heartbeat moving for ~4x the stall timeout.
+  // Keep the heartbeat moving for 4x the stall timeout, one poll per 5 ms.
   for (int i = 0; i < 24; ++i) {
     wd.health(0).heartbeatCycles.fetch_add(1000);
-    std::this_thread::sleep_for(5ms);
+    now += 5ms;
+    peer.pollAt(now);
   }
   EXPECT_EQ(wd.eventCount(), 0u);
   wd.health(0).endJob();
-  wd.stop();
+}
+
+TEST(Watchdog, FrozenHeartbeatStallsOncePastTheTimeout) {
+  WatchdogConfig cfg;
+  cfg.stallTimeoutMs = 30;
+  WorkerWatchdog wd(1, cfg);
+  WatchdogTestPeer peer(wd);
+  std::chrono::steady_clock::time_point now{};
+  wd.health(0).beginJob(2);
+  wd.health(0).heartbeatCycles.store(500);
+  peer.pollAt(now);  // first sighting of the job starts its progress clock
+  now += 29ms;
+  peer.pollAt(now);
+  EXPECT_EQ(wd.eventCount(), 0u) << "still inside the stall timeout";
+  now += 2ms;
+  peer.pollAt(now);
+  ASSERT_EQ(wd.eventCount(), 1u);
+  now += 100ms;
+  peer.pollAt(now);
+  EXPECT_EQ(wd.eventCount(), 1u) << "a stall is reported once";
+  const HealthEvent ev = wd.events()[0];
+  EXPECT_EQ(ev.kind, HealthEvent::Kind::kStalled);
+  EXPECT_EQ(ev.worker, 0);
+  EXPECT_EQ(ev.jobId, 2u);
+  EXPECT_EQ(ev.cycles, 500u);
+  EXPECT_DOUBLE_EQ(ev.sinceMs, 31.0);
+  EXPECT_EQ(wd.health(0).cancel.load(), 0u) << "cancelStalled is off";
+  wd.health(0).endJob();
 }
 
 TEST(Watchdog, SoftBudgetWarnsOncePerJob) {

@@ -50,14 +50,14 @@ TEST(BenchArgs, BindsPositionalsAndFlagsInBothSpellings) {
   Declared d;
   EXPECT_TRUE(parseTokens(
       d.args, {"48", "2.5", "x.json", "--port", "9090", "--miss=0.01",
-               "--tier", "interpreted", "--verbose"}));
+               "--tier", "reference", "--verbose"}));
   EXPECT_FALSE(d.args.parseError());
   EXPECT_EQ(d.packets, 48);
   EXPECT_DOUBLE_EQ(d.rate, 2.5);
   EXPECT_EQ(d.path, "x.json");
   EXPECT_EQ(d.port, 9090);
   EXPECT_DOUBLE_EQ(d.miss, 0.01);
-  EXPECT_EQ(d.tier, "interpreted");
+  EXPECT_EQ(d.tier, "reference");
   EXPECT_TRUE(d.verbose);
 }
 

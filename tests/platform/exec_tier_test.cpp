@@ -65,31 +65,28 @@ TEST(ExecTierFarm, AllTiersAreBitAndCycleExact) {
   for (int i = 0; i < 4; ++i) waves.push_back(makeWave(cfg, i));
 
   const TierRun ref = runFarmAt(ExecTier::kReference, waves);
-  const TierRun interp = runFarmAt(ExecTier::kInterpreted, waves);
   const TierRun native = runFarmAt(ExecTier::kNative, waves);
 
   ASSERT_EQ(ref.outs.size(), waves.size());
-  for (const TierRun* other : {&interp, &native}) {
-    ASSERT_EQ(other->outs.size(), ref.outs.size());
-    for (std::size_t i = 0; i < ref.outs.size(); ++i) {
-      const RxOutcome& a = ref.outs[i];
-      const RxOutcome& b = other->outs[i];
-      SCOPED_TRACE("packet " + std::to_string(i));
-      EXPECT_TRUE(b.result.halted());
-      EXPECT_EQ(a.result.detected, b.result.detected);
-      EXPECT_EQ(a.result.ltfStart, b.result.ltfStart);
-      EXPECT_EQ(a.result.bits, b.result.bits);
-      EXPECT_EQ(a.result.cycles, b.result.cycles);
-    }
-    // Merged adres.counters.v1 totals (activity, memory, RF, icache,
-    // config-memory stats across every worker) are identical.
-    EXPECT_EQ(ref.stats.counters, other->stats.counters);
-    EXPECT_EQ(ref.stats.groups, other->stats.groups);
-    // The adres.profile.v1 cycle-attribution partition — per-region and
-    // per-(region, kernel) issue/idle/stall/overhead splits — is identical
-    // down to the serialized document.
-    EXPECT_EQ(ref.profileJson, other->profileJson);
+  ASSERT_EQ(native.outs.size(), ref.outs.size());
+  for (std::size_t i = 0; i < ref.outs.size(); ++i) {
+    const RxOutcome& a = ref.outs[i];
+    const RxOutcome& b = native.outs[i];
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_TRUE(b.result.halted());
+    EXPECT_EQ(a.result.detected, b.result.detected);
+    EXPECT_EQ(a.result.ltfStart, b.result.ltfStart);
+    EXPECT_EQ(a.result.bits, b.result.bits);
+    EXPECT_EQ(a.result.cycles, b.result.cycles);
   }
+  // Merged adres.counters.v1 totals (activity, memory, RF, icache,
+  // config-memory stats across every worker) are identical.
+  EXPECT_EQ(ref.stats.counters, native.stats.counters);
+  EXPECT_EQ(ref.stats.groups, native.stats.groups);
+  // The adres.profile.v1 cycle-attribution partition — per-region and
+  // per-(region, kernel) issue/idle/stall/overhead splits — is identical
+  // down to the serialized document.
+  EXPECT_EQ(ref.profileJson, native.profileJson);
 }
 
 TEST(ExecTierFarm, MismatchedPolicyTierFailsLoudlyAtLoad) {
@@ -98,7 +95,7 @@ TEST(ExecTierFarm, MismatchedPolicyTierFailsLoudlyAtLoad) {
   Processor proc;
   ExecPolicy pol;
   pol.tier = ExecTier::kNative;
-  pol.plans = modem->plansFor(ExecTier::kInterpreted);
+  pol.plans = modem->plansFor(ExecTier::kReference);
   EXPECT_THROW(proc.load(modem->program, pol), SimError);
 }
 

@@ -106,7 +106,12 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   ASSERT_EQ(outs.size(), static_cast<std::size_t>(kPackets));
 
   // The shadow decoder runs without the fault seed, so every audited packet
-  // must surface as a bit divergence.
+  // must surface as a bit divergence — audited on the tier the primary
+  // does not use.
+  const char* const shadowTier =
+      fc.run.exec.tier == ExecTier::kNative ? "reference" : "native";
+  ASSERT_NE(farm.sentinel(), nullptr);
+  EXPECT_STREQ(execTierName(farm.sentinel()->shadowTier()), shadowTier);
   const std::vector<obs::IntegrityEvent> events = farm.integrityEvents();
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kPackets));
   EXPECT_EQ(farm.divergences(), static_cast<u64>(kPackets));
@@ -114,7 +119,7 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
     EXPECT_EQ(ev.kind, obs::IntegrityEvent::Kind::kBits);
     EXPECT_TRUE(ev.bitsDiverged);
     EXPECT_GT(ev.bitErrors, 0u);
-    EXPECT_EQ(ev.shadowTier, "interpreted");
+    EXPECT_EQ(ev.shadowTier, shadowTier);
     ASSERT_FALSE(ev.bundlePath.empty());
     EXPECT_TRUE(fs::exists(ev.bundlePath));
   }
@@ -126,6 +131,8 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   const obs::PostmortemBundle b = obs::loadPostmortemBundle(events[0].bundlePath);
   EXPECT_EQ(b.trigger, "divergence");
   EXPECT_EQ(b.faultInjectSeed, 0xBADC0DEull);
+  EXPECT_EQ(b.execTier, execTierName(fc.run.exec.tier));
+  EXPECT_EQ(b.shadowTier, shadowTier);
   EXPECT_TRUE(b.shadow.valid);
   EXPECT_NE(b.primary.bits, b.shadow.bits);
   const ReplayReport rep = replayPostmortem(b);

@@ -11,6 +11,8 @@
 namespace adres::sdr {
 namespace {
 
+using testutil::runKernel;
+
 struct Fabric {
   CentralRegFile crf;
   Scratchpad l1;
@@ -59,14 +61,14 @@ u64 runMappedFft(Fabric& f, u32 buf, u32 tmp, int nFfts) {
     f.crf.poke(BitrevKernel::kIn, buf + 256 * static_cast<u32>(n));
     f.crf.poke(BitrevKernel::kOut, tmp + 256 * static_cast<u32>(n));
     f.crf.poke(BitrevKernel::kIdxTab, revTab);
-    cycles += f.array.run(rev.config, 64).cycles;
+    cycles += runKernel(f.array, rev.config, 64).cycles;
   }
   // Copy back (gather wrote to tmp; treat tmp as the working buffer).
   const u32 work = tmp;
 
   const ScheduledKernel s1 = scheduleKernel(FftStage1Kernel::build());
   f.crf.poke(FftStage1Kernel::kBuf, work);
-  cycles += f.array.run(s1.config, FftStage1Kernel::trips(nFfts)).cycles;
+  cycles += runKernel(f.array, s1.config, FftStage1Kernel::trips(nFfts)).cycles;
 
   u32 tabAddr = 0xE400;
   for (int stage = 2; stage <= 6; ++stage) {
@@ -81,7 +83,8 @@ u64 runMappedFft(Fabric& f, u32 buf, u32 tmp, int nFfts) {
     f.crf.poke(FftStageKernel::kBuf, work);
     f.crf.poke(FftStageKernel::kOffTab, offAddr);
     f.crf.poke(FftStageKernel::kTwTab, twAddr);
-    cycles += f.array.run(sk.config, static_cast<u32>(t.pairCount)).cycles;
+    cycles +=
+        runKernel(f.array, sk.config, static_cast<u32>(t.pairCount)).cycles;
   }
   return cycles;
 }

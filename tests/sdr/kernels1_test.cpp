@@ -13,6 +13,8 @@
 namespace adres::sdr {
 namespace {
 
+using testutil::runKernel;
+
 /// Writes complex samples into an L1-image byte vector (32-bit per sample).
 std::vector<u8> samplesToBytes(const std::vector<adres::cint16>& s) {
   std::vector<u8> out;
@@ -72,7 +74,7 @@ TEST(FshiftKernel, MatchesGoldenBitExact) {
   f.crf.poke(FshiftKernel::kPhB, packC2(ph[2], ph[3]));
   f.crf.poke(FshiftKernel::kW4, packC2(w4, w4));
 
-  const CgaRunResult r = f.array.run(sk.config, FshiftKernel::trips(n));
+  const CgaRunResult r = runKernel(f.array, sk.config, FshiftKernel::trips(n));
   for (int k = 0; k < n; ++k) {
     const u32 wv = f.l1.read32(0x800 + 4 * static_cast<u32>(k));
     const adres::cint16 got{static_cast<i16>(wv & 0xFFFF),
@@ -102,7 +104,7 @@ TEST(FshiftKernel, WorksAcrossLengths) {
     f.crf.poke(FshiftKernel::kPhA, packC2(ph[0], ph[1]));
     f.crf.poke(FshiftKernel::kPhB, packC2(ph[2], ph[3]));
     f.crf.poke(FshiftKernel::kW4, packC2(w4, w4));
-    (void)f.array.run(sk.config, FshiftKernel::trips(n));
+    (void)runKernel(f.array, sk.config, FshiftKernel::trips(n));
     for (int k = 0; k < n; ++k) {
       const u32 wv = f.l1.read32(0x1000 + 4 * static_cast<u32>(k));
       ASSERT_EQ((adres::cint16{static_cast<i16>(wv & 0xFFFF),
@@ -127,7 +129,7 @@ TEST(AcorrKernel, MatchesGoldenOnStf) {
   f.crf.poke(AcorrKernel::kSrcLag, 4 * static_cast<u32>(d + 16));
   f.crf.poke(AcorrKernel::kIdx, 0);
   f.crf.poke(AcorrKernel::kSplat, dsp::lanes::splat(8192));
-  (void)f.array.run(sk.config, AcorrKernel::kTrips);
+  (void)runKernel(f.array, sk.config, AcorrKernel::kTrips);
 
   const adres::cint16 corr = dsp::lanes::fold(f.crf.peek(AcorrKernel::kAccP));
   const i16 e1 = dsp::lanes::fold(f.crf.peek(AcorrKernel::kAccE1)).re;
@@ -156,7 +158,7 @@ TEST(CfoCorrKernel, ReproducesStfEstimate) {
   f.crf.poke(CfoCorrKernel::kSrcLag, 4 * static_cast<u32>(d + 16));
   f.crf.poke(CfoCorrKernel::kIdx, 0);
   f.crf.poke(CfoCorrKernel::kSplat, dsp::lanes::splat(8192));
-  (void)f.array.run(sk.config, CfoCorrKernel::trips(64));
+  (void)runKernel(f.array, sk.config, CfoCorrKernel::trips(64));
 
   const adres::cint16 z = dsp::lanes::fold(f.crf.peek(CfoCorrKernel::kAcc));
   const i16 ang = static_cast<i16>(adres::dsp::atan2Turns(z.im, z.re));
@@ -190,7 +192,7 @@ TEST(XcorrKernel, SixteenHypothesesMatchGolden) {
   for (int half = 0; half < 2; ++half) {
     f.crf.poke(XcorrKernel::kSrc, 4 * static_cast<u32>(from + 8 * half));
     for (int j = 0; j < 4; ++j) f.crf.poke(XcorrKernel::kAccBase + j, 0);
-    const CgaRunResult r = f.array.run(sk.config, XcorrKernel::kTrips);
+    const CgaRunResult r = runKernel(f.array, sk.config, XcorrKernel::kTrips);
     totalCycles += r.cycles;
     for (int j = 0; j < 4; ++j) {
       const Word acc = f.crf.peek(XcorrKernel::kAccBase + j);

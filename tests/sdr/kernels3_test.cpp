@@ -14,6 +14,8 @@
 namespace adres::sdr {
 namespace {
 
+using testutil::runKernel;
+
 struct Fabric {
   CentralRegFile crf;
   Scratchpad l1;
@@ -75,7 +77,7 @@ TEST(InterleaveKernel, GathersUsedTones) {
   f.crf.poke(InterleaveKernel::kBase1, 0x1100);
   f.crf.poke(InterleaveKernel::kTab, 0x5000);
   f.crf.poke(InterleaveKernel::kOut, 0x2000);
-  (void)f.array.run(sk.config, InterleaveKernel::kTrips);
+  (void)runKernel(f.array, sk.config, InterleaveKernel::kTrips);
 
   const auto used0 = dsp::gatherUsedCarriers(s0);
   const auto used1 = dsp::gatherUsedCarriers(s1);
@@ -113,7 +115,7 @@ TEST(ChestKernel, MatchesGoldenEstimate) {
   f.crf.poke(ChestKernel::kLtf2, 0x1200);
   f.crf.poke(ChestKernel::kSign, 0x5000);
   f.crf.poke(ChestKernel::kOut, 0x3000);
-  const CgaRunResult r = f.array.run(sk.config, ChestKernel::kTrips);
+  const CgaRunResult r = runKernel(f.array, sk.config, ChestKernel::kTrips);
 
   for (int t = 0; t < 52; ++t) {
     const u32 base = 0x3000 + 16 * static_cast<u32>(t);
@@ -160,9 +162,9 @@ TEST(EqCoeffKernel, MatchesGoldenBitExact) {
   f.crf.poke(40, 0);
   f.crf.poke(41, 32767);
   f.crf.poke(42, static_cast<u32>(static_cast<i32>(-32768)));
-  CgaRunResult r = f.array.run(skN.config, EqCoeffKernel::kTrips);
+  CgaRunResult r = runKernel(f.array, skN.config, EqCoeffKernel::kTrips);
   f.crf.poke(EqCoeffKernel::kH, 0x1000);  // re-seed pointers for phase 2
-  const CgaRunResult r2 = f.array.run(skA.config, EqCoeffKernel::kTrips);
+  const CgaRunResult r2 = runKernel(f.array, skA.config, EqCoeffKernel::kTrips);
   r.cycles += r2.cycles;
 
   for (int t = 0; t < 52; ++t) {
@@ -206,7 +208,7 @@ TEST(CompKernel, MatchesGoldenSdmDetect) {
   f.crf.poke(CompKernel::kWMat, 0x2000);
   f.crf.poke(CompKernel::kOut0, 0x6000);
   f.crf.poke(CompKernel::kOut1, 0x6400);
-  const CgaRunResult r = f.array.run(sk.config, CompKernel::kTrips);
+  const CgaRunResult r = runKernel(f.array, sk.config, CompKernel::kTrips);
 
   for (int t = 0; t < 52; ++t) {
     EXPECT_EQ(readC(f.l1, 0x6000 + 4 * static_cast<u32>(t)),
@@ -274,7 +276,7 @@ TEST(DemodKernel, GrayWordsMatchGoldenBits) {
   f.crf.poke(DemodKernel::kMul, dsp::lanes::splat(1312));
   f.crf.poke(DemodKernel::kZero, dsp::lanes::splat(0));
   f.crf.poke(DemodKernel::kSeven, dsp::lanes::splat(7));
-  (void)f.array.run(sk.config, DemodKernel::kTrips);
+  (void)runKernel(f.array, sk.config, DemodKernel::kTrips);
 
   for (int d = 0; d < 48; ++d) {
     // Golden: derotate + demap.
@@ -345,7 +347,7 @@ TEST(DemodKernel, Qam16GrayWordsMatchGoldenBits) {
   f.crf.poke(DemodKernel::kDerot, packC2(derot, derot));
   f.crf.poke(DemodKernel::kThr, dsp::lanes::splat(3300));
   f.crf.poke(DemodKernel::kThree, dsp::lanes::splat(3));
-  (void)f.array.run(sk.config, DemodKernel::kTrips);
+  (void)runKernel(f.array, sk.config, DemodKernel::kTrips);
 
   for (int d = 0; d < 48; ++d) {
     const cint16 y = det[dpos[static_cast<std::size_t>(d)] / 4] * derot;

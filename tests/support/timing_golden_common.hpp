@@ -1,8 +1,10 @@
 // Collectors shared by the timing-golden regression test and the
 // timing_golden_dump generator: run every Table 2 kernel standalone and the
-// full 2x2 modem, and reduce the timing-visible state to comparable rows.
+// full 2x2 modem (untraced, and traced into a hashing sink), and reduce the
+// timing-visible state to comparable rows.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -59,7 +61,8 @@ inline std::vector<KernelGoldenRow> collectKernelGolden(
     Fabric f;
     prepareFabric(f);
     c.setup(f);
-    const CgaRunResult r = f.array.run(c.config, c.trips, tier);
+    const CgaRunResult r =
+        f.array.run(buildKernelPlan(c.config, tier), c.trips);
     KernelGoldenRow row;
     row.name = c.name;
     row.cycles = r.cycles;
@@ -87,7 +90,12 @@ inline std::vector<KernelGoldenRow> collectKernelGolden(
 
 /// The bench_table2 scenario: QAM-64, 16 symbols, flat 40 dB channel with
 /// 6 ppm CFO — the run whose region profile reproduces Table 2.
-inline ModemGolden collectModemGolden(ExecTier tier = defaultExecTier()) {
+struct TableTwoScenario {
+  sdr::ModemOnProcessor modem;
+  std::array<std::vector<cint16>, 2> rx;
+};
+
+inline TableTwoScenario tableTwoScenario() {
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
   cfg.numSymbols = 16;
@@ -98,13 +106,17 @@ inline ModemGolden collectModemGolden(ExecTier tier = defaultExecTier()) {
   cc.snrDb = 40;
   cc.cfoPpm = 6;
   dsp::MimoChannel ch(cc);
-  const auto rx = ch.run(pkt.waveform);
+  return {sdr::buildModemProgram(cfg), ch.run(pkt.waveform)};
+}
 
-  const sdr::ModemOnProcessor m = sdr::buildModemProgram(cfg);
+inline ModemGolden collectModemGolden(ExecTier tier = defaultExecTier()) {
+  const TableTwoScenario s = tableTwoScenario();
+  const sdr::ModemOnProcessor& m = s.modem;
   Processor proc;
   sdr::RxRunOptions opts;
   opts.exec.tier = tier;
-  const sdr::ProcessorRxResult res = sdr::runModemOnProcessor(proc, m, rx, opts);
+  const sdr::ProcessorRxResult res =
+      sdr::runModemOnProcessor(proc, m, s.rx, opts);
 
   ModemGolden g;
   g.detected = res.detected;
@@ -164,6 +176,41 @@ inline ModemGolden collectModemGolden(ExecTier tier = defaultExecTier()) {
   }
   g.countersHash = h;
   return g;
+}
+
+/// Event count and FNV-1a hash over every field of every event of a
+/// traced run, in emission order.
+struct TraceGolden {
+  u64 events = 0;
+  u64 hash = kFnvSeed;
+};
+
+/// Folds each event into a TraceGolden as it arrives; stores nothing.
+class HashingTraceSink final : public TraceSink {
+ public:
+  void event(const TraceEvent& e) override {
+    ++golden.events;
+    golden.hash = fnv1a(golden.hash, e.cycle);
+    golden.hash = fnv1a(golden.hash, e.dur);
+    golden.hash = fnv1a(golden.hash, static_cast<u64>(e.kind));
+    golden.hash = fnv1a(golden.hash, e.track);
+    golden.hash = fnv1a(golden.hash, e.a);
+    golden.hash = fnv1a(golden.hash, e.b);
+  }
+  TraceGolden golden;
+};
+
+/// The Table 2 modem run with a trace sink attached: the event stream that
+/// Chrome traces, exemplar rings and postmortem bundle rings are built from.
+inline TraceGolden collectTraceGolden(ExecTier tier = defaultExecTier()) {
+  const TableTwoScenario s = tableTwoScenario();
+  Processor proc;
+  HashingTraceSink sink;
+  sdr::RxRunOptions opts;
+  opts.exec.tier = tier;
+  opts.trace = &sink;
+  (void)sdr::runModemOnProcessor(proc, s.modem, s.rx, opts);
+  return sink.golden;
 }
 
 }  // namespace adres::testsupport

@@ -12,6 +12,13 @@
 namespace adres {
 namespace testutil {
 
+/// Launches `k` for `trips` iterations through a plan built for this one
+/// launch at the default tier (ADRES_EXEC_TIER sweeps it).
+inline CgaRunResult runKernel(CgaArray& array, const KernelConfig& k,
+                              u32 trips) {
+  return array.run(buildKernelPlan(k, defaultExecTier()), trips);
+}
+
 /// ByteMemory over a Scratchpad, for the reference interpreter.
 class ScratchpadMem : public ByteMemory {
  public:
@@ -62,7 +69,7 @@ inline KernelRun checkKernelAgainstReference(
   out.sk = scheduleKernel(g);
   // Exercise the config round trip as the real load path does.
   const KernelConfig cfgDecoded = decodeKernel(encodeKernel(out.sk.config));
-  out.runResult = array.run(cfgDecoded, trips);
+  out.runResult = runKernel(array, cfgDecoded, trips);
 
   // Reference execution.
   Scratchpad goldenL1;

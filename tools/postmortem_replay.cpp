@@ -34,35 +34,13 @@ obs::DecodeSummary decodeSummary(Processor& proc,
   opts.exec.tier = tier;
   opts.exec.plans = modem.plansFor(tier);
   opts.faultInjectBitFlipSeed = faultSeed;
-  const sdr::ProcessorRxResult res =
-      sdr::runModemOnProcessor(proc, modem, rx, opts);
-  obs::DecodeSummary s;
-  s.detected = res.detected;
-  s.ltfStart = res.ltfStart;
-  s.stop = stopReasonName(res.stop);
-  s.cycles = res.cycles;
-  s.totalOps = proc.activity().totalOps();
-  s.bits = res.bits;
-  s.regions = proc.profiles();
-  return s;
-}
-
-obs::ResultRecord toRecord(const obs::DecodeSummary& s) {
-  obs::ResultRecord r;
-  r.valid = true;
-  r.detected = s.detected;
-  r.ltfStart = s.ltfStart;
-  r.stop = s.stop;
-  r.cycles = s.cycles;
-  r.totalOps = s.totalOps;
-  r.bits = s.bits;
-  r.regions = s.regions;
-  return r;
+  return platform::summarizeDecode(
+      sdr::runModemOnProcessor(proc, modem, rx, opts), proc);
 }
 
 /// Builds and writes a planted-fault divergence bundle: one decodable
 /// QAM-64 packet, primary decoded with a seeded payload bit flip, shadow
-/// decoded clean on the interpreted tier.
+/// decoded clean on the tier the sentinel would audit it with.
 int makeDemo(const std::string& path) {
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
@@ -79,11 +57,13 @@ int makeDemo(const std::string& path) {
 
   const auto modem = platform::modemProgramFor(cfg);
   constexpr u64 kFaultSeed = 0xFA0171ull;
+  const ExecTier primaryTier = defaultExecTier();
+  const ExecTier shadowTier = obs::shadowTierFor(primaryTier);
   Processor primaryProc, shadowProc;
-  const obs::DecodeSummary primary = decodeSummary(
-      primaryProc, *modem, rx, defaultExecTier(), kFaultSeed);
-  const obs::DecodeSummary shadow = decodeSummary(
-      shadowProc, *modem, rx, ExecTier::kInterpreted, 0);
+  const obs::DecodeSummary primary =
+      decodeSummary(primaryProc, *modem, rx, primaryTier, kFaultSeed);
+  const obs::DecodeSummary shadow =
+      decodeSummary(shadowProc, *modem, rx, shadowTier, 0);
 
   const std::optional<obs::IntegrityEvent> ev =
       obs::compareDecodes(primary, shadow);
@@ -100,13 +80,13 @@ int makeDemo(const std::string& path) {
   b.traceId = trace::packetTraceId(0, 0);
   b.modulation = static_cast<int>(cfg.mod);
   b.numSymbols = cfg.numSymbols;
-  b.execTier = execTierName(defaultExecTier());
-  b.shadowTier = execTierName(ExecTier::kInterpreted);
+  b.execTier = execTierName(primaryTier);
+  b.shadowTier = execTierName(shadowTier);
   b.maxCycles = sdr::RxRunOptions{}.maxCycles;
   b.faultInjectSeed = kFaultSeed;
   b.rx = rx;
-  b.primary = toRecord(primary);
-  b.shadow = toRecord(shadow);
+  b.primary = obs::toRecord(primary);
+  b.shadow = obs::toRecord(shadow);
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
