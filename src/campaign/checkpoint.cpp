@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 #include "common/json_min.hpp"
 
@@ -74,15 +75,11 @@ void writeCheckpoint(std::ostream& os, const SweepSpec& spec,
 void writeCheckpointFile(const std::string& path, const SweepSpec& spec,
                          const std::vector<CellSpec>& cells,
                          const std::vector<CellResult>& results) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    ADRES_CHECK(os.good(), "cannot open checkpoint tmp file");
-    writeCheckpoint(os, spec, cells, results);
-    ADRES_CHECK(os.good(), "checkpoint write failed");
-  }
-  ADRES_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "checkpoint rename failed");
+  ADRES_CHECK(writeFileAtomic(path,
+                              [&](std::ostream& os) {
+                                writeCheckpoint(os, spec, cells, results);
+                              }),
+              "cannot write checkpoint '" << path << '\'');
 }
 
 std::map<u64, CellResult> loadCheckpoint(std::istream& is,

@@ -27,7 +27,8 @@ void writeCheckpoint(std::ostream& os, const SweepSpec& spec,
                      const std::vector<CellSpec>& cells,
                      const std::vector<CellResult>& results);
 
-/// Atomic file write: path.tmp then rename.
+/// writeCheckpoint to `path` atomically (writeFileAtomic); throws SimError
+/// naming `path` when the write fails.
 void writeCheckpointFile(const std::string& path, const SweepSpec& spec,
                          const std::vector<CellSpec>& cells,
                          const std::vector<CellResult>& results);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
+#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 
 namespace adres::cell {
@@ -364,15 +364,9 @@ void CellScheduler::writeSummary(std::ostream& os) const {
 }
 
 void CellScheduler::writeSummaryFile(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    ADRES_CHECK(os.good(), "cannot open cell summary tmp file");
-    writeSummary(os);
-    ADRES_CHECK(os.good(), "cell summary write failed");
-  }
-  ADRES_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cell summary rename failed");
+  ADRES_CHECK(
+      writeFileAtomic(path, [&](std::ostream& os) { writeSummary(os); }),
+      "cannot write cell summary '" << path << '\'');
 }
 
 bool CellScheduler::selfCheck(std::string* why) const {

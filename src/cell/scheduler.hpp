@@ -135,7 +135,8 @@ class CellScheduler {
   /// two runs of the same scenario must produce identical bytes whatever
   /// the farm's worker count (the determinism self-checks byte-compare it).
   void writeSummary(std::ostream& os) const;
-  /// writeSummary to `path` atomically (tmp + rename).
+  /// writeSummary to `path` atomically (writeFileAtomic); throws SimError
+  /// naming `path` when the write fails.
   void writeSummaryFile(const std::string& path) const;
 
   /// The accounting identities every run must satisfy: per flow and

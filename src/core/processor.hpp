@@ -54,6 +54,18 @@ struct RegionProfile {
   u64 cgaOps = 0;
   u64 entries = 0;  ///< times the region was entered
 
+  RegionProfile& operator+=(const RegionProfile& o) {
+    cycles += o.cycles;
+    vliwCycles += o.vliwCycles;
+    cgaCycles += o.cgaCycles;
+    ops += o.ops;
+    vliwOps += o.vliwOps;
+    cgaOps += o.cgaOps;
+    entries += o.entries;
+    return *this;
+  }
+  bool operator==(const RegionProfile&) const = default;
+
   double ipc() const { return cycles ? static_cast<double>(ops) / static_cast<double>(cycles) : 0.0; }
   /// Dominant mode string as in Table 2 ("CGA", "VLIW", "mixed").
   std::string mode() const;
@@ -134,6 +146,7 @@ class Processor {
   CgaArray& cga() { return cga_; }
   const CgaArray& cga() const { return cga_; }
   DmaEngine& dma() { return dma_; }
+  const DmaEngine& dma() const { return dma_; }
   const ActivityCounters& activity() const { return act_; }
   ActivityCounters& activity() { return act_; }
   const ExceptionFlags& exceptions() const { return exc_; }

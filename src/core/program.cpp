@@ -30,6 +30,12 @@ int Program::regionId(const std::string& n) const {
   return static_cast<int>(it - regionNames.begin());
 }
 
+std::string regionName(const std::vector<std::string>& names, int id) {
+  if (id >= 0 && static_cast<std::size_t>(id) < names.size())
+    return names[static_cast<std::size_t>(id)];
+  return "region" + std::to_string(id);
+}
+
 void Program::validate() const {
   ADRES_CHECK(!bundles.empty(), "program '" << name << "' has no text");
   ADRES_CHECK(entry < bundles.size(), "entry point out of range");

@@ -47,4 +47,8 @@ struct Program {
   int regionId(const std::string& n) const;
 };
 
+/// Report name of region `id`: `names[id]`, or "region<id>" when `names`
+/// has no entry for it.
+std::string regionName(const std::vector<std::string>& names, int id);
+
 }  // namespace adres

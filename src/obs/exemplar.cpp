@@ -4,9 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 
+#include "common/atomic_file.hpp"
 #include "trace/export.hpp"
 
 namespace adres::obs {
@@ -60,46 +60,42 @@ bool ExemplarStore::maybeCapture(const trace::PacketSpans& spans,
                                  const HistogramSnapshot& latencyNs) {
   if (latencyUs < thresholdUs(latencyNs)) return false;
 
-  std::string path, tmp;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (records_.size() >= cfg_.maxExemplars) {
-      // Full: only a packet slower than the fastest retained one qualifies.
-      if (latencyUs <= records_.back().latencyUs) return false;
-      std::error_code ec;
-      std::filesystem::remove(records_.back().path, ec);
-      records_.pop_back();
-      ++evicted_;
-    }
-    path = cfg_.dir + "/exemplar_" + trace::traceIdHex(spans.traceId) + "_" +
-           std::to_string(fileSeq_) + ".json";
-    tmp = path + ".tmp";
-    ++fileSeq_;
-
-    ExemplarRecord rec;
-    rec.traceId = spans.traceId;
-    rec.jobId = spans.jobId;
-    rec.worker = spans.worker;
-    rec.latencyUs = latencyUs;
-    rec.queueWaitUs = queueWaitUs;
-    rec.simCycles = simCycles;
-    rec.path = path;
-    records_.push_back(rec);
-    std::sort(records_.begin(), records_.end(),
-              [](const ExemplarRecord& a, const ExemplarRecord& b) {
-                return a.latencyUs > b.latencyUs;
-              });
-    ++captured_;
+  // The file is written under the lock (captures are rare tail events), so
+  // the record set and the files on disk change together: a failed write
+  // leaves both as they were.
+  std::lock_guard<std::mutex> lk(mu_);
+  const bool full = records_.size() >= cfg_.maxExemplars;
+  // Full: only a packet slower than the fastest retained one qualifies.
+  if (full && latencyUs <= records_.back().latencyUs) return false;
+  const std::string path = cfg_.dir + "/exemplar_" +
+                           trace::traceIdHex(spans.traceId) + "_" +
+                           std::to_string(fileSeq_) + ".json";
+  if (!writeFileAtomic(path, [&](std::ostream& os) {
+        writeExemplarFile(os, spans, ringEvents, ringAccepted, ringDropped,
+                          ringCapacity, latencyUs, queueWaitUs, simCycles);
+      }))
+    return false;
+  ++fileSeq_;
+  if (full) {
+    std::error_code ec;
+    std::filesystem::remove(records_.back().path, ec);
+    records_.pop_back();
+    ++evicted_;
   }
-
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    writeExemplarFile(os, spans, ringEvents, ringAccepted, ringDropped,
-                      ringCapacity, latencyUs, queueWaitUs, simCycles);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  ExemplarRecord rec;
+  rec.traceId = spans.traceId;
+  rec.jobId = spans.jobId;
+  rec.worker = spans.worker;
+  rec.latencyUs = latencyUs;
+  rec.queueWaitUs = queueWaitUs;
+  rec.simCycles = simCycles;
+  rec.path = path;
+  records_.push_back(rec);
+  std::sort(records_.begin(), records_.end(),
+            [](const ExemplarRecord& a, const ExemplarRecord& b) {
+              return a.latencyUs > b.latencyUs;
+            });
+  ++captured_;
   return true;
 }
 

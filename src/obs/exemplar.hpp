@@ -52,7 +52,8 @@ class ExemplarStore {
 
   /// Captures the packet if it qualifies (above threshold and either the
   /// store has room or it is slower than the current fastest exemplar).
-  /// Writes the exemplar file atomically; returns true if captured.
+  /// Writes the exemplar file atomically (writeFileAtomic); returns true if
+  /// captured.  A failed write captures nothing: no record, no count.
   bool maybeCapture(const trace::PacketSpans& spans,
                     const std::vector<TraceEvent>& ringEvents,
                     u64 ringAccepted, u64 ringDropped,

@@ -22,17 +22,6 @@ ExecTier shadowTierFor(ExecTier primary) {
                                       : ExecTier::kNative;
 }
 
-namespace {
-
-bool regionProfilesEqual(const RegionProfile& a, const RegionProfile& b) {
-  return a.cycles == b.cycles && a.vliwCycles == b.vliwCycles &&
-         a.cgaCycles == b.cgaCycles && a.ops == b.ops &&
-         a.vliwOps == b.vliwOps && a.cgaOps == b.cgaOps &&
-         a.entries == b.entries;
-}
-
-}  // namespace
-
 std::optional<IntegrityEvent> compareDecodes(const DecodeSummary& primary,
                                              const DecodeSummary& shadow) {
   IntegrityEvent ev;
@@ -63,19 +52,8 @@ std::optional<IntegrityEvent> compareDecodes(const DecodeSummary& primary,
     ev.cyclesDiverged = true;
     detail << "cycles " << primary.cycles << " vs " << shadow.cycles << "; ";
   }
-  if (primary.totalOps != shadow.totalOps ||
-      primary.regions.size() != shadow.regions.size()) {
-    ev.countersDiverged = true;
-  } else {
-    auto it = shadow.regions.begin();
-    for (const auto& [id, prof] : primary.regions) {
-      if (it->first != id || !regionProfilesEqual(prof, it->second)) {
-        ev.countersDiverged = true;
-        break;
-      }
-      ++it;
-    }
-  }
+  ev.countersDiverged = primary.totalOps != shadow.totalOps ||
+                        primary.regions != shadow.regions;
   if (ev.countersDiverged)
     detail << "counter partition differs (ops " << primary.totalOps << " vs "
            << shadow.totalOps << ", " << primary.regions.size() << " vs "

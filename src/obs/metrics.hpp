@@ -9,12 +9,12 @@
 //
 // Threading: every public method takes the registry mutex, so registration,
 // snapshotting and clear() may race freely; the getters themselves run
-// under that mutex and must only read thread-safe state (atomics, published
-// CounterRegistry snapshots, histogram snapshot()) — never a live
-// simulator's unsynchronized statistics (see the CounterRegistry
-// single-writer contract in trace/counters.hpp).  clear() is the teardown
-// barrier: once it returns, no getter registered before it will run again,
-// so the objects they captured may be destroyed.
+// under that mutex and must only read thread-safe state (atomics, counter
+// blocks copied under a lock, histogram snapshot()) — never a live
+// simulator's unsynchronized statistics, which only the thread running the
+// simulator may read.  clear() is the teardown barrier: once it returns, no
+// getter registered before it will run again, so the objects they captured
+// may be destroyed.
 #pragma once
 
 #include <chrono>

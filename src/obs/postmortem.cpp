@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 #include "common/json_min.hpp"
 #include "obs/buildinfo.hpp"
@@ -240,29 +241,27 @@ PostmortemWriter::PostmortemWriter(PostmortemConfig cfg) : cfg_(std::move(cfg)) 
 }
 
 std::string PostmortemWriter::write(const PostmortemBundle& b) {
-  std::string path, tmp;
+  std::string path;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (cfg_.maxBundles && paths_.size() >= cfg_.maxBundles) {
-      std::error_code ec;
-      std::filesystem::remove(paths_.front(), ec);
-      paths_.erase(paths_.begin());
-      ++evicted_;
-    }
     path = cfg_.dir + "/postmortem_" + trace::traceIdHex(b.traceId) + "_" +
-           std::to_string(fileSeq_) + ".json";
-    tmp = path + ".tmp";
-    ++fileSeq_;
-    paths_.push_back(path);
-    ++written_;
+           std::to_string(fileSeq_++) + ".json";
   }
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    writePostmortemJson(b, os, cfg_.metrics);
+  // Written outside the lock: the embedded metrics snapshot may read
+  // written() through a registered getter.
+  if (!writeFileAtomic(path, [&](std::ostream& os) {
+        writePostmortemJson(b, os, cfg_.metrics);
+      }))
+    return "";
+  std::lock_guard<std::mutex> lk(mu_);
+  if (cfg_.maxBundles && paths_.size() >= cfg_.maxBundles) {
+    std::error_code ec;
+    std::filesystem::remove(paths_.front(), ec);
+    paths_.erase(paths_.begin());
+    ++evicted_;
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
+  paths_.push_back(path);
+  ++written_;
   return path;
 }
 

@@ -99,8 +99,9 @@ class PostmortemWriter {
  public:
   explicit PostmortemWriter(PostmortemConfig cfg);
 
-  /// Persists the bundle (tmp + rename); evicts the oldest bundle when the
-  /// store is full.  Returns the file path.
+  /// Persists the bundle atomically (writeFileAtomic), then evicts the
+  /// oldest bundle when the store is full.  Returns the file path, or ""
+  /// when the write failed — the bundle is then neither counted nor kept.
   std::string write(const PostmortemBundle& b);
 
   /// Paths currently retained, oldest first.

@@ -6,7 +6,6 @@
 
 #include "cga/exec_tier.hpp"
 #include "power/energy_model.hpp"
-#include "trace/counters.hpp"
 
 namespace adres::platform {
 namespace {
@@ -19,7 +18,7 @@ thread_local const trace::PacketSpans* tlAuditSpans = nullptr;
 }  // namespace
 
 void FarmStats::writeJson(std::ostream& os) const {
-  trace::writeCountersJson(os, counters, groups, workers);
+  trace::writeCountersJson(os, counters, regions, regionNames, workers);
 }
 
 PacketFarm::PacketFarm(FarmConfig cfg)
@@ -49,9 +48,8 @@ PacketFarm::PacketFarm(FarmConfig cfg)
   startTime_ = std::chrono::steady_clock::now();
   // Build (or fetch) the shared program before spawning so workers never
   // race on the expensive first build and startup cost is paid once.
-  (void)modemProgramFor(cfg_.modem);
+  modem_ = modemProgramFor(cfg_.modem);
   if (cfg_.sentinel.enabled) {
-    shadowModem_ = modemProgramFor(cfg_.modem);
     shadowProc_ = std::make_unique<Processor>();
     sentinel_ = std::make_unique<obs::DivergenceSentinel>(
         cfg_.sentinel, cfg_.run.exec.tier,
@@ -162,8 +160,9 @@ std::vector<RxOutcome> PacketFarm::finish() {
   SessionStats merged;
   for (const SessionStats& s : workerStats_) merged.merge(s);
   stats_.packets = merged.packets;
-  stats_.counters = std::move(merged.counters);
-  stats_.groups = std::move(merged.groups);
+  stats_.counters = merged.counters;
+  stats_.regions = std::move(merged.regions);
+  stats_.regionNames = modem_->program.regionNames;
   stats_.latencyNs = latencySnapshot();
   stats_.packetCycles = cycleSnapshot();
   stats_.queueWaitNs = queueWaitSnapshot();
@@ -213,7 +212,7 @@ obs::DecodeSummary PacketFarm::shadowDecode(
   sdr::RxRunOptions opts;
   opts.maxCycles = cfg_.run.maxCycles;
   opts.exec.tier = sentinel_->shadowTier();
-  opts.exec.plans = shadowModem_->plansFor(opts.exec.tier);
+  opts.exec.plans = modem_->plansFor(opts.exec.tier);
   opts.exec.warmReload = true;
   std::unique_ptr<RingBufferSink> ring;
   if (ringOut) {
@@ -221,7 +220,7 @@ obs::DecodeSummary PacketFarm::shadowDecode(
     opts.trace = ring.get();
   }
   sdr::ProcessorRxResult res;
-  sdr::runModemOnProcessor(*shadowProc_, *shadowModem_, rx, opts, res);
+  sdr::runModemOnProcessor(*shadowProc_, *modem_, rx, opts, res);
   obs::DecodeSummary s = summarizeDecode(res, *shadowProc_);
   if (ringOut) {
     *ringOut = ring->events();
@@ -274,13 +273,9 @@ bool PacketFarm::ready(std::string* reason) const {
   return false;
 }
 
-std::map<std::string, u64> PacketFarm::liveCounters() const {
-  std::map<std::string, u64> out;
-  for (const auto& t : telemetry_) {
-    if (const std::shared_ptr<const SessionStats> s = t->published()) {
-      for (const auto& [name, value] : s->counters) out[name] += value;
-    }
-  }
+trace::CounterBlock PacketFarm::liveCounters() const {
+  trace::CounterBlock out;
+  for (const auto& t : telemetry_) out += t->counters();
   return out;
 }
 
@@ -450,15 +445,16 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
           out.push_back({obs::Labels{{"region", name}}, cycles});
         return out;
       });
-  // Farm-wide sim counter totals (the stable adres.counters.v1 key set) as
-  // one labelled family, summed live from each worker's last published
-  // session snapshot.
+  // Farm-wide sim counter totals (the adres.counters.v1 key set) as one
+  // labelled family, summed live from every worker's counter block.
   reg.addCounterFamily(
       "adres_sim_counter", "farm-wide simulator counter totals", [this] {
+        const trace::CounterBlock totals = liveCounters();
         std::vector<std::pair<obs::Labels, double>> out;
-        for (const auto& [name, value] : liveCounters())
+        for (std::size_t i = 0; i < trace::kNumCounters; ++i)
           out.push_back(
-              {obs::Labels{{"name", name}}, static_cast<double>(value)});
+              {obs::Labels{{"name", std::string(trace::kCounterNames[i])}},
+               static_cast<double>(totals.values[i])});
         return out;
       });
 }
@@ -493,7 +489,6 @@ void PacketFarm::workerMain(int idx) {
                std::chrono::steady_clock::now() - startTime_)
         .count();
   };
-  u64 decoded = 0;
   while (std::optional<RxJob> job = queue_.pop()) {
     health.beginJob(job->id);
     const double dispatchUs = epochUs();
@@ -537,13 +532,9 @@ void PacketFarm::workerMain(int idx) {
     tele.latencyNs.record(static_cast<u64>(ns));
     tele.packetCycles.record(out.result.cycles);
     tele.queueWaitNs.record(static_cast<u64>(out.queueWaitUs * 1000.0));
-    // Publishing copies the session's stat maps — throttled off the
-    // per-packet path (final totals merge exactly at finish()).
-    ++decoded;
-    if (cfg_.statsPublishInterval != 0 &&
-        decoded % cfg_.statsPublishInterval == 0) {
-      tele.setPublished(std::make_shared<const SessionStats>(session.stats()));
-    }
+    // A 256-byte copy, before the outcome is recorded: live counters are
+    // exact for every packet collect() has returned.
+    tele.setCounters(session.stats().counters);
 
     trace::PacketSpans spans;
     if (wantSpans) {
@@ -619,9 +610,6 @@ void PacketFarm::workerMain(int idx) {
   }
   health.state.store(static_cast<u32>(obs::WorkerState::kDone),
                      std::memory_order_release);
-  // Final publish so live readers (metrics scrapes after the drain, the
-  // post-run exposition check) converge on the exact totals.
-  tele.setPublished(std::make_shared<const SessionStats>(session.stats()));
   std::lock_guard<std::mutex> lk(mu_);
   workerStats_[static_cast<std::size_t>(idx)] = session.stats();
 }

@@ -14,11 +14,12 @@
 // of the waveform — makes an N-worker run bit-exact with the sequential
 // baseline regardless of scheduling.
 //
-// Live observability (src/obs): every worker keeps lock-free telemetry
-// (packet/cycle/op totals, log-linear latency and cycle histograms, a
-// published copy of its counter totals) that registerMetrics() exposes
-// through a MetricsRegistry — so a running farm can be scraped mid-flight
-// by the embedded MetricsServer with zero effect on decoded output.  A
+// Live observability (src/obs): every worker keeps telemetry (lock-free
+// packet/cycle/op totals and log-linear latency and cycle histograms, plus
+// a copy of its counter block refreshed after every packet) that
+// registerMetrics() exposes through a MetricsRegistry — so a running farm
+// can be scraped mid-flight by the embedded MetricsServer with zero effect
+// on decoded output.  A
 // WorkerWatchdog supervises decode heartbeats and turns stalls and budget
 // overruns into structured HealthEvents (optionally cancelling the decode)
 // instead of silent hangs.
@@ -115,20 +116,15 @@ struct FarmConfig {
   /// marks itself busy with the job and before the decode.  Observation
   /// must stay observation: the hook must not touch simulator state.
   std::function<void(int worker, const RxJob&)> preDecodeHook;
-  /// Every how many packets a worker publishes its session-stat totals for
-  /// live metrics scrapes (liveCounters / adres_sim_counter).  Publishing
-  /// copies the session's counter maps, so the hot path throttles it; 0
-  /// publishes only when the worker exits.  Final stats are exact at any
-  /// setting — finish() merges the sessions directly.
-  u64 statsPublishInterval = 16;
 };
 
 /// Aggregate statistics merged from every worker's session after finish().
 struct FarmStats {
   int workers = 0;
   u64 packets = 0;
-  std::map<std::string, u64> counters;
-  std::map<std::string, std::map<std::string, u64>> groups;
+  trace::CounterBlock counters;
+  std::map<int, RegionProfile> regions;  ///< per-region totals by region id
+  std::vector<std::string> regionNames;  ///< the program's, for writeJson
   obs::HistogramSnapshot latencyNs;     ///< host decode latency, nanoseconds
   obs::HistogramSnapshot packetCycles;  ///< simulated cycles per packet
   obs::HistogramSnapshot queueWaitNs;   ///< submit-to-dispatch wait
@@ -255,9 +251,11 @@ class PacketFarm {
   obs::HistogramSnapshot cycleSnapshot() const;
   /// Merged submit-to-dispatch queue-wait histogram (nanoseconds), live.
   obs::HistogramSnapshot queueWaitSnapshot() const;
-  /// Farm-wide sim counter totals summed from each worker's last published
-  /// session snapshot (live approximation of the post-run merge).
-  std::map<std::string, u64> liveCounters() const;
+  /// Farm-wide sim counter totals: the sum of every worker's counter block,
+  /// which each worker refreshes after every packet and before recording
+  /// its outcome — so once collect() returns, this covers every collected
+  /// packet exactly.
+  trace::CounterBlock liveCounters() const;
 
   const obs::WorkerWatchdog& watchdog() const { return *watchdog_; }
   std::vector<obs::HealthEvent> healthEvents() const {
@@ -272,8 +270,9 @@ class PacketFarm {
   void registerMetrics(obs::MetricsRegistry& reg) const;
 
  private:
-  /// Per-worker live telemetry; single writer (the worker), lock-free
-  /// readers (metrics scrapes).
+  /// Per-worker live telemetry; single writer (the worker), readers on any
+  /// thread (metrics scrapes): lock-free atomics and histograms, plus the
+  /// session's counter block copied under `mu`.
   struct WorkerTelemetry {
     std::atomic<u64> packetsDone{0};
     std::atomic<u64> simCycles{0};
@@ -283,18 +282,18 @@ class PacketFarm {
     obs::LogLinearHistogram packetCycles;
     obs::LogLinearHistogram queueWaitNs;
 
-    std::shared_ptr<const SessionStats> published() const {
+    trace::CounterBlock counters() const {
       std::lock_guard<std::mutex> lk(mu);
-      return pub;
+      return counters_;
     }
-    void setPublished(std::shared_ptr<const SessionStats> s) {
+    void setCounters(const trace::CounterBlock& c) {
       std::lock_guard<std::mutex> lk(mu);
-      pub = std::move(s);
+      counters_ = c;
     }
 
    private:
     mutable std::mutex mu;
-    std::shared_ptr<const SessionStats> pub;
+    trace::CounterBlock counters_;
   };
 
   void workerMain(int idx);
@@ -316,10 +315,12 @@ class PacketFarm {
   std::unique_ptr<obs::WorkerWatchdog> watchdog_;
   std::unique_ptr<obs::ExemplarStore> exemplars_;
   std::unique_ptr<obs::PostmortemWriter> postmortems_;
+  /// The shared mapped program: region names for stats(), and the program
+  /// the shadow decoder runs.
+  std::shared_ptr<const sdr::ModemOnProcessor> modem_;
   /// Held-back shadow decoder (farm-private; calls serialized by the
   /// sentinel).  The ring stats of the last divergence re-decode are stashed
   /// here for the bundle closure — both run under the sentinel's lock.
-  std::shared_ptr<const sdr::ModemOnProcessor> shadowModem_;
   std::unique_ptr<Processor> shadowProc_;
   std::unique_ptr<obs::DivergenceSentinel> sentinel_;
   u64 shadowRingAccepted_ = 0;

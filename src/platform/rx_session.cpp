@@ -3,8 +3,6 @@
 #include <mutex>
 #include <utility>
 
-#include "trace/telemetry.hpp"
-
 namespace adres::platform {
 namespace {
 
@@ -61,11 +59,8 @@ obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
 
 void SessionStats::merge(const SessionStats& other) {
   packets += other.packets;
-  for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [prefix, block] : other.groups) {
-    auto& mine = groups[prefix];
-    for (const auto& [suffix, value] : block) mine[suffix] += value;
-  }
+  counters += other.counters;
+  for (const auto& [id, rp] : other.regions) regions[id] += rp;
   profile.merge(other.profile);
 }
 
@@ -79,7 +74,6 @@ RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
   // from the second decode on, load() only replays the DMA and state reset.
   // coldReload is the bench/debug opt-out (bit- and cycle-exact, slower).
   opts_.exec.warmReload = !opts_.coldReload;
-  trace::registerProcessorCounters(reg_, proc_);
 }
 
 sdr::ProcessorRxResult RxSession::decode(
@@ -105,48 +99,13 @@ void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
     opts_.maxCycles = maxCyclesOverride;
   sdr::runModemOnProcessor(proc_, *modem_, rx, opts_, out);
   opts_.maxCycles = sessionBudget;
-  // Stats reset on the next load; fold this packet's into the session total.
-  // Static counters fold in place (key set stable after the first packet);
-  // region profiles fold numerically by id — the registry's "region" group
-  // getter builds key strings per call, so it stays out of the hot path and
-  // stats() materializes the block on demand.
+  // Stats reset on the next load; fold this packet's into the session total
+  // (a block add plus one add per region, whose map nodes exist after the
+  // first packet).
   ++stats_.packets;
   if (opts_.profile) stats_.profile.addProcessor(proc_);
-  reg_.accumulateCountersInto(stats_.counters);
-  for (const auto& [id, rp] : proc_.profiles()) {
-    RegionProfile& t = regionTotals_[id];
-    t.cycles += rp.cycles;
-    t.vliwCycles += rp.vliwCycles;
-    t.cgaCycles += rp.cgaCycles;
-    t.ops += rp.ops;
-    t.vliwOps += rp.vliwOps;
-    t.cgaOps += rp.cgaOps;
-    t.entries += rp.entries;
-  }
-  groupsDirty_ = true;
-}
-
-const SessionStats& RxSession::stats() {
-  if (groupsDirty_) {
-    // Same keys registerProcessorCounters' "region" group getter yields:
-    // <region name>.{cycles,ops,vliw_cycles,cga_cycles,entries}.
-    const std::vector<std::string>& names = modem_->program.regionNames;
-    std::map<std::string, u64>& block = stats_.groups["region"];
-    block.clear();
-    for (const auto& [id, rp] : regionTotals_) {
-      const std::string base =
-          (id >= 0 && static_cast<std::size_t>(id) < names.size())
-              ? names[static_cast<std::size_t>(id)]
-              : "region" + std::to_string(id);
-      block[base + ".cycles"] = rp.cycles;
-      block[base + ".ops"] = rp.ops;
-      block[base + ".vliw_cycles"] = rp.vliwCycles;
-      block[base + ".cga_cycles"] = rp.cgaCycles;
-      block[base + ".entries"] = rp.entries;
-    }
-    groupsDirty_ = false;
-  }
-  return stats_;
+  stats_.counters += trace::readCounters(proc_);
+  for (const auto& [id, rp] : proc_.profiles()) stats_.regions[id] += rp;
 }
 
 }  // namespace adres::platform

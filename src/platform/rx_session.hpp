@@ -9,7 +9,6 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/integrity.hpp"
@@ -38,11 +37,14 @@ obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
 
 /// Counter totals accumulated across the packets a session decoded.
 /// Processor stats reset on every program load, so the session sums each
-/// packet's snapshot; FarmStats merges these across workers.
+/// packet's counter block and region profiles; FarmStats merges these
+/// across workers.
 struct SessionStats {
   u64 packets = 0;
-  std::map<std::string, u64> counters;
-  std::map<std::string, std::map<std::string, u64>> groups;
+  trace::CounterBlock counters;
+  /// Per-region totals keyed by region id (names: the program's
+  /// regionNames, resolved only when a dump is written).
+  std::map<int, RegionProfile> regions;
   /// Cycle-attribution summary; populated only when the session's run
   /// options enable kernel profiling.
   trace::ProfileSummary profile;
@@ -58,9 +60,9 @@ class RxSession {
   sdr::ProcessorRxResult decode(const std::array<std::vector<cint16>, 2>& rx);
 
   /// Allocation-free variant: decodes into `out`, reusing its capacity.
-  /// Combined with the session's warm program reload and the lazily
-  /// materialized stats fold, a steady-state call performs no heap
-  /// allocation (tools/alloc_gate asserts this) — the packet-farm hot path.
+  /// Combined with the session's warm program reload and the fixed-size
+  /// stats fold, a steady-state call performs no heap allocation
+  /// (tools/alloc_gate asserts this) — the packet-farm hot path.
   /// `maxCyclesOverride` != 0 caps this one decode at
   /// min(override, session maxCycles) simulated cycles (RxJob::maxCycles,
   /// the cell layer's per-packet deadline budget); the session budget is
@@ -72,22 +74,14 @@ class RxSession {
   const sdr::ModemOnProcessor& modem() const { return *modem_; }
   Processor& processor() { return proc_; }
   const Processor& processor() const { return proc_; }
-  /// Session totals.  Non-const: the per-packet fold keeps region profiles
-  /// numerically (by id) and this call materializes the string-keyed
-  /// "region" group block on demand, so the hot path never builds strings.
-  const SessionStats& stats();
+  /// Session totals.
+  const SessionStats& stats() const { return stats_; }
 
  private:
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
   sdr::RxRunOptions opts_;
   Processor proc_;
-  trace::CounterRegistry reg_;
   SessionStats stats_;
-  /// Numeric per-region totals folded per packet; stats() turns them into
-  /// the published `groups["region"]` block (same keys the registry's
-  /// group getter would have produced, built once instead of per packet).
-  std::map<int, RegionProfile> regionTotals_;
-  bool groupsDirty_ = false;
 };
 
 }  // namespace adres::platform

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <fstream>
 #include <mutex>
 
+#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "dsp/lanes.hpp"
@@ -660,6 +660,16 @@ void Emitter::emitDataLoop() {
   pb.brIf(1, top);
 }
 
+/// The RxRunOptions::countersJsonPath dump ("" = off).
+void writeCountersFile(const Processor& proc, const std::string& path) {
+  if (path.empty()) return;
+  ADRES_CHECK(writeFileAtomic(path,
+                              [&](std::ostream& os) {
+                                trace::writeCountersJson(proc, os);
+                              }),
+              "cannot write counters JSON '" << path << '\'');
+}
+
 }  // namespace
 
 ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg) {
@@ -789,10 +799,7 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
   out.cycles = proc.cycles();
   out.elapsedUs = proc.elapsedUs();
   if (!out.halted()) {
-    if (!opts.countersJsonPath.empty()) {
-      std::ofstream os(opts.countersJsonPath);
-      trace::writeCountersJson(proc, os);
-    }
+    writeCountersFile(proc, opts.countersJsonPath);
     return;
   }
   out.detected = proc.l1().read32(m.layout.status) != 0;
@@ -831,10 +838,7 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
     out.bits[static_cast<std::size_t>(mix64(opts.faultInjectBitFlipSeed) %
                                       out.bits.size())] ^= 1;
   }
-  if (!opts.countersJsonPath.empty()) {
-    std::ofstream os(opts.countersJsonPath);
-    trace::writeCountersJson(proc, os);
-  }
+  writeCountersFile(proc, opts.countersJsonPath);
 }
 
 }  // namespace adres::sdr

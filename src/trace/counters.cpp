@@ -1,132 +1,47 @@
 #include "trace/counters.hpp"
 
-#include "common/check.hpp"
+#include "core/processor.hpp"
 
 namespace adres::trace {
 
-void CounterRegistry::add(const std::string& name, Getter g) {
-  ADRES_CHECK(!name.empty(), "counter name must be non-empty");
-  ADRES_CHECK(counters_.find(name) == counters_.end(),
-              "duplicate counter '" << name << '\'');
-  counters_[name] = std::move(g);
+CounterBlock readCounters(const Processor& p) {
+  return CounterBlock{{
+#define ADRES_COUNTER_READ(id, key, read) read,
+      ADRES_COUNTERS(ADRES_COUNTER_READ)
+#undef ADRES_COUNTER_READ
+  }};
 }
 
-void CounterRegistry::addGroup(const std::string& prefix, GroupGetter g) {
-  ADRES_CHECK(!prefix.empty(), "group prefix must be non-empty");
-  ADRES_CHECK(groups_.find(prefix) == groups_.end(),
-              "duplicate group '" << prefix << '\'');
-  groups_[prefix] = std::move(g);
-}
-
-void CounterRegistry::reset() {
-  for (const auto& hook : resetHooks_) hook();
-}
-
-void CounterRegistry::checkOwner() const {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  if (!ownerBound_) {
-    owner_ = std::this_thread::get_id();
-    ownerBound_ = true;
-    return;
-  }
-  ADRES_CHECK(owner_ == std::this_thread::get_id(),
-              "CounterRegistry read from a non-owner thread — getters read "
-              "unsynchronized live stats; use publish()/published() for "
-              "cross-thread access or rebindOwner() to transfer ownership");
-}
-
-void CounterRegistry::rebindOwner() {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  owner_ = std::this_thread::get_id();
-  ownerBound_ = true;
-}
-
-std::shared_ptr<const PublishedCounters> CounterRegistry::publish() {
-  checkOwner();
-  auto snap = std::make_shared<PublishedCounters>();
-  for (const auto& [name, g] : counters_) snap->counters[name] = g();
-  for (const auto& [prefix, g] : groups_) {
-    auto& block = snap->groups[prefix];
-    for (const auto& [suffix, value] : g()) block[suffix] += value;
-  }
-  std::shared_ptr<const PublishedCounters> out = std::move(snap);
-  std::lock_guard<std::mutex> lk(pubMu_);
-  published_ = out;
-  return out;
-}
-
-std::shared_ptr<const PublishedCounters> CounterRegistry::published() const {
-  std::lock_guard<std::mutex> lk(pubMu_);
-  return published_;
-}
-
-u64 CounterRegistry::value(const std::string& name) const {
-  checkOwner();
-  const auto it = counters_.find(name);
-  ADRES_CHECK(it != counters_.end(), "unknown counter '" << name << '\'');
-  return it->second();
-}
-
-std::vector<std::string> CounterRegistry::keys() const {
-  std::vector<std::string> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, g] : counters_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
-
-std::map<std::string, u64> CounterRegistry::snapshot() const {
-  checkOwner();
-  std::map<std::string, u64> out;
-  for (const auto& [name, g] : counters_) out[name] = g();
-  return out;
-}
-
-void CounterRegistry::accumulateCountersInto(
-    std::map<std::string, u64>& into) const {
-  checkOwner();
-  for (const auto& [name, g] : counters_) into[name] += g();
-}
-
-std::map<std::string, std::map<std::string, u64>>
-CounterRegistry::groupSnapshot() const {
-  checkOwner();
-  std::map<std::string, std::map<std::string, u64>> out;
-  for (const auto& [prefix, g] : groups_) {
-    auto& block = out[prefix];
-    for (const auto& [suffix, value] : g()) block[suffix] += value;
-  }
-  return out;
-}
-
-void CounterRegistry::writeJson(std::ostream& os) const {
-  writeCountersJson(os, snapshot(), groupSnapshot());
-}
-
-void writeCountersJson(
-    std::ostream& os, const std::map<std::string, u64>& counters,
-    const std::map<std::string, std::map<std::string, u64>>& groups,
-    int workers) {
+void writeCountersJson(std::ostream& os, const CounterBlock& counters,
+                       const std::map<int, RegionProfile>& regions,
+                       const std::vector<std::string>& regionNames,
+                       int workers) {
   os << "{\n  \"schema\": \"adres.counters.v1\",";
   if (workers > 0) os << "\n  \"workers\": " << workers << ',';
   os << "\n  \"counters\": {";
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    os << (i == 0 ? "\n" : ",\n") << "    \"" << kCounterNames[i]
+       << "\": " << counters.values[i];
+  }
+
+  // Keys sort as whole strings, not by region then metric (' ' and '-' sort
+  // before '.': "a b.ops" precedes "a.cycles"), hence the sorted map.
+  std::map<std::string, u64> group;
+  for (const auto& [id, rp] : regions) {
+    const std::string base = regionName(regionNames, id);
+    group[base + ".cycles"] += rp.cycles;
+    group[base + ".ops"] += rp.ops;
+    group[base + ".vliw_cycles"] += rp.vliwCycles;
+    group[base + ".cga_cycles"] += rp.cgaCycles;
+    group[base + ".entries"] += rp.entries;
+  }
+  os << "\n  },\n  \"groups\": {\n    \"region\": {";
   bool first = true;
-  for (const auto& [name, value] : counters) {
-    os << (first ? "\n" : ",\n") << "    \"" << name << "\": " << value;
+  for (const auto& [key, value] : group) {
+    os << (first ? "\n" : ",\n") << "      \"" << key << "\": " << value;
     first = false;
   }
-  os << "\n  },\n  \"groups\": {";
-  bool firstGroup = true;
-  for (const auto& [prefix, block] : groups) {
-    os << (firstGroup ? "\n" : ",\n") << "    \"" << prefix << "\": {";
-    firstGroup = false;
-    bool firstKey = true;
-    for (const auto& [suffix, value] : block) {
-      os << (firstKey ? "\n" : ",\n") << "      \"" << suffix << "\": " << value;
-      firstKey = false;
-    }
-    os << "\n    }";
-  }
-  os << "\n  }\n}\n";
+  os << "\n    }\n  }\n}\n";
 }
 
 }  // namespace adres::trace

@@ -1,120 +1,136 @@
-// Counter registry: federates the simulator's scattered statistics
-// (ActivityCounters, per-component stats, region profiles) behind named
-// counters with a single stable-schema JSON dump.
+// The fixed counter schema: every simulator statistic that the
+// adres.counters.v1 dump and the farm's live `adres_sim_counter` family
+// report, as one enum-indexed block.
 //
-// Naming scheme (DESIGN.md "Observability"): dot-separated
-// `<component>.<metric>` keys, lower_snake metrics — e.g. `cga.cycles`,
-// `l1.bank_conflicts`, `cdrf.reads`.  Dynamic key families (per-region
-// profiles) register as groups under a prefix; the static key set is stable
-// for the lifetime of the registry, so JSON dumps from different runs diff
-// cleanly.
-// Threading contract (single-writer): the getters read live component
-// statistics that the simulating thread mutates with no synchronization, so
-// every value-reading call (value(), snapshot(), groupSnapshot(),
-// writeJson(), publish()) must run on that thread.  The registry binds its
-// owner thread on the first such call and rejects cross-thread reads with a
-// SimError (rebindOwner() transfers ownership explicitly, e.g. when a
-// registry built on one thread is handed to a worker before any read).
-// The supported cross-thread path is publish()/published(): the owner
-// publishes an immutable PublishedCounters snapshot which any thread may
-// then read — that is what live farm metrics scrape.
+// ADRES_COUNTERS is the single table: one row per counter, in sorted key
+// order, giving the enum id, the stable dot-separated `<component>.<metric>`
+// JSON key (lower_snake metrics — DESIGN.md "Counter naming") and the
+// expression that reads it off a `const Processor& p`.  It generates
+// `Counter`, `counterName()`, `CounterBlock` and `readCounters()`; the dump
+// order is the table order, so the static_assert below keeps it sorted.
+//
+// A CounterBlock is a plain value (32 u64s): folding a packet's counters is
+// a vector add and publishing them across threads is a 256-byte copy, with
+// no strings, maps or heap involved.
 #pragma once
 
-#include <functional>
+#include <array>
+#include <cstddef>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
-#include <thread>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
 
+namespace adres {
+class Processor;
+struct RegionProfile;
+}  // namespace adres
+
 namespace adres::trace {
 
-/// Immutable counter snapshot shared across threads (see publish()).
-struct PublishedCounters {
-  std::map<std::string, u64> counters;
-  std::map<std::string, std::map<std::string, u64>> groups;
+// X(id, key, read-expression over `const Processor& p`), sorted by key.
+#define ADRES_COUNTERS(X)                                                    \
+  X(kCdrfCgaAccesses, "cdrf.cga_accesses", p.activity().cdrfCgaAccesses)    \
+  X(kCdrfReads, "cdrf.reads", p.regs().stats().reads)                       \
+  X(kCdrfWrites, "cdrf.writes", p.regs().stats().writes)                    \
+  X(kCfgmemContextFetches, "cfgmem.context_fetches",                        \
+    p.configMem().stats().contextFetches)                                   \
+  X(kCfgmemDmaBytes, "cfgmem.dma_bytes", p.configMem().stats().dmaBytes)    \
+  X(kCgaCycles, "cga.cycles", p.activity().cgaCycles)                       \
+  X(kCgaOps, "cga.ops", p.activity().cgaOps)                                \
+  X(kCgaRouteMoves, "cga.route_moves", p.activity().cgaRouteMoves)          \
+  X(kCgaStallCycles, "cga.stall_cycles", p.activity().cgaStallCycles)       \
+  X(kCoreCycles, "core.cycles", p.activity().totalCycles())                 \
+  X(kCprfReads, "cprf.reads", p.regs().predStats().reads)                   \
+  X(kCprfWrites, "cprf.writes", p.regs().predStats().writes)                \
+  X(kDmaCoreCycles, "dma.core_cycles", p.dma().stats().coreCycles)          \
+  X(kDmaTransfers, "dma.transfers", p.dma().stats().transfers)              \
+  X(kDmaWords, "dma.words", p.dma().stats().wordsMoved)                     \
+  X(kIcacheAccesses, "icache.accesses", p.icache().stats().accesses)        \
+  X(kIcacheMisses, "icache.misses", p.icache().stats().misses)              \
+  X(kL1BankConflictCycles, "l1.bank_conflict_cycles",                       \
+    p.l1().stats().conflictCycles)                                          \
+  X(kL1BankConflicts, "l1.bank_conflicts", p.l1().stats().conflicts)        \
+  X(kL1CgaAccesses, "l1.cga_accesses", p.activity().l1CgaAccesses)          \
+  X(kL1Reads, "l1.reads", p.l1().stats().reads)                             \
+  X(kL1Writes, "l1.writes", p.l1().stats().writes)                          \
+  X(kLrfReads, "lrf.reads", p.cga().localRfTotals().reads)                  \
+  X(kLrfWrites, "lrf.writes", p.cga().localRfTotals().writes)               \
+  X(kModeSwitches, "mode.switches", p.activity().modeSwitches)              \
+  X(kOps16, "ops16", p.activity().ops16)                                    \
+  X(kSimdOps, "simd.ops", p.activity().simdOps)                             \
+  X(kSleepCycles, "sleep.cycles", p.activity().sleepCycles)                 \
+  X(kTransports, "transports", p.activity().transports)                     \
+  X(kVliwCycles, "vliw.cycles", p.activity().vliwCycles)                    \
+  X(kVliwOps, "vliw.ops", p.activity().vliwOps)                             \
+  X(kVliwStallCycles, "vliw.stall_cycles", p.activity().vliwStallCycles)
+
+enum class Counter : std::size_t {
+#define ADRES_COUNTER_ID(id, key, read) id,
+  ADRES_COUNTERS(ADRES_COUNTER_ID)
+#undef ADRES_COUNTER_ID
 };
 
-class CounterRegistry {
- public:
-  using Getter = std::function<u64()>;
-  /// A group expands to (suffix, value) pairs under its prefix at dump time
-  /// (keys may vary run to run — e.g. one block per profiled region).
-  using GroupGetter = std::function<std::vector<std::pair<std::string, u64>>()>;
+inline constexpr std::array kCounterNames = {
+#define ADRES_COUNTER_KEY(id, key, read) std::string_view(key),
+    ADRES_COUNTERS(ADRES_COUNTER_KEY)
+#undef ADRES_COUNTER_KEY
+};
+inline constexpr std::size_t kNumCounters = kCounterNames.size();
 
-  /// Registers a named counter; the name must be unique.
-  void add(const std::string& name, Getter g);
+/// True when every key is non-empty and strictly greater than its
+/// predecessor (sorted and unique) — the schema's dump-order invariant.
+constexpr bool counterKeysStrictlySorted(
+    std::span<const std::string_view> keys) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].empty()) return false;
+    if (i > 0 && !(keys[i - 1] < keys[i])) return false;
+  }
+  return true;
+}
+static_assert(counterKeysStrictlySorted(kCounterNames),
+              "ADRES_COUNTERS rows must be in strictly sorted key order");
 
-  /// Registers a dynamic key family dumped under `<prefix>.<suffix>`.
-  void addGroup(const std::string& prefix, GroupGetter g);
+/// The stable JSON key of `c`, e.g. "core.cycles".
+constexpr std::string_view counterName(Counter c) {
+  return kCounterNames[static_cast<std::size_t>(c)];
+}
 
-  /// Registers a hook invoked by reset() (e.g. Processor::resetStats).
-  void onReset(std::function<void()> hook) { resetHooks_.push_back(std::move(hook)); }
+/// One value per counter, indexed by Counter.
+struct CounterBlock {
+  std::array<u64, kNumCounters> values{};
 
-  /// Invokes every reset hook.
-  void reset();
-
-  bool has(const std::string& name) const { return counters_.count(name) != 0; }
-  u64 value(const std::string& name) const;
-
-  /// Static counter names, sorted (the stable schema).
-  std::vector<std::string> keys() const;
-
-  /// Point-in-time read of every static counter.
-  std::map<std::string, u64> snapshot() const;
-
-  /// Owner-thread fold: adds every static counter's current value into
-  /// `into` (group getters are not invoked — they build strings).  After
-  /// the first fold the key set exists, so steady-state calls perform no
-  /// heap allocation — the packet farm's per-packet stats path.
-  void accumulateCountersInto(std::map<std::string, u64>& into) const;
-
-  /// Point-in-time read of every group: prefix -> (suffix -> value).
-  std::map<std::string, std::map<std::string, u64>> groupSnapshot() const;
-
-  /// Stable-schema JSON dump:
-  /// {"schema":"adres.counters.v1","counters":{...},"groups":{prefix:{...}}}
-  void writeJson(std::ostream& os) const;
-
-  /// Owner-thread call: materializes every counter and group into an
-  /// immutable snapshot, stores it for cross-thread readers, and returns
-  /// it.  The returned object also serves as the caller's own snapshot
-  /// (one getter pass for both uses).
-  std::shared_ptr<const PublishedCounters> publish();
-
-  /// Any-thread call: the most recently published snapshot (null before
-  /// the first publish()).
-  std::shared_ptr<const PublishedCounters> published() const;
-
-  /// Transfers the single-writer ownership to the calling thread (see the
-  /// file-top threading contract).
-  void rebindOwner();
-
- private:
-  void checkOwner() const;
-
-  std::map<std::string, Getter> counters_;
-  std::map<std::string, GroupGetter> groups_;
-  std::vector<std::function<void()>> resetHooks_;
-
-  mutable std::mutex pubMu_;  ///< guards published_ and the owner binding
-  std::shared_ptr<const PublishedCounters> published_;
-  mutable std::thread::id owner_;
-  mutable bool ownerBound_ = false;
+  u64& operator[](Counter c) { return values[static_cast<std::size_t>(c)]; }
+  u64 operator[](Counter c) const {
+    return values[static_cast<std::size_t>(c)];
+  }
+  CounterBlock& operator+=(const CounterBlock& o) {
+    for (std::size_t i = 0; i < kNumCounters; ++i) values[i] += o.values[i];
+    return *this;
+  }
+  bool operator==(const CounterBlock&) const = default;
 };
 
-/// Writes the adres.counters.v1 JSON for already-materialized values.  When
-/// `workers` > 0 the dump is an aggregate merged across that many parallel
-/// workers and carries the schema's `workers` extension field (the counter
-/// values are then sums over every worker's registry).
-void writeCountersJson(
-    std::ostream& os, const std::map<std::string, u64>& counters,
-    const std::map<std::string, std::map<std::string, u64>>& groups,
-    int workers = 0);
+/// Reads every counter off `p`'s live component statistics (which
+/// Processor::resetStats() clears, except the DMA stats it keeps on
+/// purpose).  Call it on the thread that runs `p`.
+CounterBlock readCounters(const Processor& p);
+
+/// Writes the adres.counters.v1 JSON:
+///   {"schema":"adres.counters.v1","counters":{...},"groups":{"region":{...}}}
+/// `counters` in key order; the `region` group holds
+/// `<name>.{cga_cycles,cycles,entries,ops,vliw_cycles}` for every entry of
+/// `regions`, sorted by key, with names from `regionNames` (`region<id>`
+/// when the id has none).  When `workers` > 0 the dump is an aggregate
+/// merged across that many parallel workers and carries the schema's
+/// `workers` extension field.
+void writeCountersJson(std::ostream& os, const CounterBlock& counters,
+                       const std::map<int, RegionProfile>& regions,
+                       const std::vector<std::string>& regionNames,
+                       int workers = 0);
 
 }  // namespace adres::trace

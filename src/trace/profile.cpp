@@ -7,13 +7,6 @@
 namespace adres::trace {
 namespace {
 
-std::string regionName(const Processor& proc, int id) {
-  const auto& names = proc.program().regionNames;
-  if (id >= 0 && static_cast<std::size_t>(id) < names.size())
-    return names[static_cast<std::size_t>(id)];
-  return "region" + std::to_string(id);
-}
-
 std::string kernelName(const Processor& proc, u32 id) {
   const auto& plans = proc.kernelPlans();
   if (plans && id < plans->kernels.size() &&
@@ -48,10 +41,11 @@ std::string planClassName(u8 kind, u8 lat) {
 }
 
 void ProfileSummary::addProcessor(const Processor& proc) {
+  const std::vector<std::string>& names = proc.program().regionNames;
   ++runs;
   totalCycles += proc.activity().totalCycles();
   for (const auto& [id, rp] : proc.profiles()) {
-    ProfileRegionRow& row = regions[regionName(proc, id)];
+    ProfileRegionRow& row = regions[regionName(names, id)];
     row.cycles += rp.cycles;
     row.vliwCycles += rp.vliwCycles;
     row.cgaCycles += rp.cgaCycles;
@@ -61,7 +55,7 @@ void ProfileSummary::addProcessor(const Processor& proc) {
   }
   for (const auto& [key, kp] : proc.kernelProfiles()) {
     ProfileKernelRow& row =
-        kernels[{regionName(proc, key.first), kernelName(proc, key.second)}];
+        kernels[{regionName(names, key.first), kernelName(proc, key.second)}];
     row.launches += kp.launches;
     row.trips += kp.trips;
     row.cycles += kp.cycles;

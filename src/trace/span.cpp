@@ -100,11 +100,7 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
   for (const RegionSpan& r : regionLog) {
     Span s;
     s.kind = SpanKind::kRegion;
-    if (r.region >= 0 &&
-        static_cast<std::size_t>(r.region) < regionNames.size())
-      s.name = regionNames[static_cast<std::size_t>(r.region)];
-    else
-      s.name = "region" + std::to_string(r.region);
+    s.name = regionName(regionNames, r.region);
     s.startCycle = r.startCycle;
     s.cycles = r.endCycle - r.startCycle;
     s.ops = r.ops;

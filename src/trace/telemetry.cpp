@@ -1,89 +1,12 @@
 #include "trace/telemetry.hpp"
 
-#include <string>
-
 #include "core/processor.hpp"
 
 namespace adres::trace {
-namespace {
 
-std::string regionName(const Processor& proc, int id) {
-  const auto& names = proc.program().regionNames;
-  if (id >= 0 && static_cast<std::size_t>(id) < names.size())
-    return names[static_cast<std::size_t>(id)];
-  return "region" + std::to_string(id);
-}
-
-}  // namespace
-
-void registerProcessorCounters(CounterRegistry& reg, Processor& proc) {
-  const Processor* p = &proc;
-
-  // Mode occupancy and cross-cutting activity.
-  reg.add("core.cycles", [p] { return p->activity().totalCycles(); });
-  reg.add("vliw.cycles", [p] { return p->activity().vliwCycles; });
-  reg.add("vliw.stall_cycles", [p] { return p->activity().vliwStallCycles; });
-  reg.add("vliw.ops", [p] { return p->activity().vliwOps; });
-  reg.add("cga.cycles", [p] { return p->activity().cgaCycles; });
-  reg.add("cga.stall_cycles", [p] { return p->activity().cgaStallCycles; });
-  reg.add("cga.ops", [p] { return p->activity().cgaOps; });
-  reg.add("cga.route_moves", [p] { return p->activity().cgaRouteMoves; });
-  reg.add("sleep.cycles", [p] { return p->activity().sleepCycles; });
-  reg.add("mode.switches", [p] { return p->activity().modeSwitches; });
-  reg.add("simd.ops", [p] { return p->activity().simdOps; });
-  reg.add("ops16", [p] { return p->activity().ops16; });
-  reg.add("transports", [p] { return p->activity().transports; });
-
-  // L1 scratchpad banks.
-  reg.add("l1.reads", [p] { return p->l1().stats().reads; });
-  reg.add("l1.writes", [p] { return p->l1().stats().writes; });
-  reg.add("l1.bank_conflicts", [p] { return p->l1().stats().conflicts; });
-  reg.add("l1.bank_conflict_cycles",
-          [p] { return p->l1().stats().conflictCycles; });
-  reg.add("l1.cga_accesses", [p] { return p->activity().l1CgaAccesses; });
-
-  // Instruction cache.
-  reg.add("icache.accesses", [p] { return p->icache().stats().accesses; });
-  reg.add("icache.misses", [p] { return p->icache().stats().misses; });
-
-  // Register-file ports.
-  reg.add("cdrf.reads", [p] { return p->regs().stats().reads; });
-  reg.add("cdrf.writes", [p] { return p->regs().stats().writes; });
-  reg.add("cdrf.cga_accesses", [p] { return p->activity().cdrfCgaAccesses; });
-  reg.add("cprf.reads", [p] { return p->regs().predStats().reads; });
-  reg.add("cprf.writes", [p] { return p->regs().predStats().writes; });
-  reg.add("lrf.reads", [p] { return p->cga().localRfTotals().reads; });
-  reg.add("lrf.writes", [p] { return p->cga().localRfTotals().writes; });
-
-  // Configuration memory and DMA.
-  reg.add("cfgmem.context_fetches",
-          [p] { return p->configMem().stats().contextFetches; });
-  reg.add("cfgmem.dma_bytes", [p] { return p->configMem().stats().dmaBytes; });
-  reg.add("dma.transfers", [&proc] { return proc.dma().stats().transfers; });
-  reg.add("dma.words", [&proc] { return proc.dma().stats().wordsMoved; });
-  reg.add("dma.core_cycles", [&proc] { return proc.dma().stats().coreCycles; });
-
-  // Per-region profiles (dynamic key family: one block per visited region).
-  reg.addGroup("region", [p] {
-    std::vector<std::pair<std::string, u64>> out;
-    for (const auto& [id, prof] : p->profiles()) {
-      const std::string base = regionName(*p, id);
-      out.emplace_back(base + ".cycles", prof.cycles);
-      out.emplace_back(base + ".ops", prof.ops);
-      out.emplace_back(base + ".vliw_cycles", prof.vliwCycles);
-      out.emplace_back(base + ".cga_cycles", prof.cgaCycles);
-      out.emplace_back(base + ".entries", prof.entries);
-    }
-    return out;
-  });
-
-  reg.onReset([&proc] { proc.resetStats(); });
-}
-
-void writeCountersJson(Processor& proc, std::ostream& os) {
-  CounterRegistry reg;
-  registerProcessorCounters(reg, proc);
-  reg.writeJson(os);
+void writeCountersJson(const Processor& proc, std::ostream& os) {
+  writeCountersJson(os, readCounters(proc), proc.profiles(),
+                    proc.program().regionNames);
 }
 
 void printRegionTable(const Processor& proc, std::FILE* out) {
@@ -96,7 +19,7 @@ void printRegionTable(const Processor& proc, std::FILE* out) {
   for (const auto& [id, prof] : proc.profiles()) {
     total += prof.cycles;
     std::fprintf(out, "%-26s %8llu %10llu %7llu %6.2f  %s\n",
-                 regionName(proc, id).c_str(),
+                 regionName(proc.program().regionNames, id).c_str(),
                  static_cast<unsigned long long>(prof.entries),
                  static_cast<unsigned long long>(prof.cycles),
                  static_cast<unsigned long long>(

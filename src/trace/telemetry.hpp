@@ -1,7 +1,6 @@
-// Processor telemetry: binds a Processor's scattered statistics
-// (ActivityCounters, L1/I$/config-memory/RF/DMA stats, region profiles)
-// onto a CounterRegistry under the stable `<component>.<metric>` schema,
-// plus convenience dump/report helpers shared by the benches and examples.
+// Processor telemetry: the one-shot adres.counters.v1 dump of a Processor
+// (its counter block and region profiles, see trace/counters.hpp) and the
+// per-region report shared by the benches and examples.
 #pragma once
 
 #include <cstdio>
@@ -15,13 +14,8 @@ class Processor;
 
 namespace adres::trace {
 
-/// Registers every processor counter on `reg` and hooks reset() to
-/// Processor::resetStats().  `proc` must outlive the registry — getters
-/// read the live component stats at dump time.
-void registerProcessorCounters(CounterRegistry& reg, Processor& proc);
-
-/// One-shot stable-schema counters dump for `proc`.
-void writeCountersJson(Processor& proc, std::ostream& os);
+/// Stable-schema counters dump for `proc`.
+void writeCountersJson(const Processor& proc, std::ostream& os);
 
 /// Per-region summary table (name, entries, cycles, mode, IPC) to `out`.
 void printRegionTable(const Processor& proc, std::FILE* out = stdout);

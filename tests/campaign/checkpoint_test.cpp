@@ -3,6 +3,7 @@
 #include "campaign/checkpoint.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -101,6 +102,29 @@ TEST(Checkpoint, FileVariantRoundTripsAndToleratesMissingFiles) {
   EXPECT_EQ(loaded.at(cells[0].key()), results[0]);
   EXPECT_EQ(loaded.at(cells[1].key()), results[1]);
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FailedFileWriteThrowsNamingThePathAndLeavesNoTmp) {
+  const SweepSpec spec = twoCellSpec();
+  const std::vector<CellSpec> cells = expand(spec);
+  const std::vector<CellResult> results{fakeResult(1), fakeResult(2)};
+  // A directory squatting on the checkpoint name: the tmp file is written,
+  // then the rename onto the directory fails.
+  const std::string path =
+      testing::TempDir() + "adres_checkpoint_test_squatted.json";
+  std::filesystem::remove_all(path);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_directory(path);
+  try {
+    writeCheckpointFile(path, spec, cells, results);
+    ADD_FAILURE() << "a failed rename must throw";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+      << "the half-committed tmp file is removed";
+  EXPECT_TRUE(std::filesystem::is_directory(path)) << "target untouched";
+  std::filesystem::remove_all(path);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -233,6 +234,26 @@ TEST(CellScheduler, WriteSummaryFileIsAtomicAndIdenticalToStream) {
   fileBytes << in.rdbuf();
   EXPECT_EQ(fileBytes.str(), os.str());
   std::remove(path.c_str());
+}
+
+TEST(CellScheduler, FailedSummaryWriteThrowsNamingThePathAndLeavesNoTmp) {
+  const CellScheduler sched(baseScenario());
+  // A directory squatting on the summary name: the tmp file is written,
+  // then the rename onto the directory fails.
+  const std::string path =
+      testing::TempDir() + "/adres_cell_summary_squatted.json";
+  std::filesystem::remove_all(path);
+  std::filesystem::remove(path + ".tmp");
+  std::filesystem::create_directory(path);
+  try {
+    sched.writeSummaryFile(path);
+    ADD_FAILURE() << "a failed rename must throw";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
+      << "the half-committed tmp file is removed";
+  std::filesystem::remove_all(path);
 }
 
 }  // namespace

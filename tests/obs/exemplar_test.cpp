@@ -139,5 +139,23 @@ TEST_F(Exemplars, BoundedStoreEvictsFastestOfTheSlowWithItsFile) {
   EXPECT_EQ(store.records().size(), 2u);
 }
 
+TEST_F(Exemplars, FailedWriteCapturesNothing) {
+  // The store's directory sits under a regular file, so it cannot exist
+  // and no exemplar file can be opened there.
+  std::filesystem::create_directories(kDir);
+  const std::string blocker = std::string(kDir) + "/file";
+  std::ofstream(blocker) << "not a directory";
+  ExemplarConfig cfg = config(/*maxExemplars=*/8, /*minCount=*/1);
+  cfg.dir = blocker + "/exemplars";
+  ExemplarStore store(cfg);
+
+  const HistogramSnapshot hist = latencyHist({10, 20, 30});
+  EXPECT_FALSE(capture(store, 1, 500.0, hist));
+  EXPECT_EQ(store.captured(), 0u);
+  EXPECT_TRUE(store.records().empty())
+      << "no record, so no Prometheus exemplar, for an unwritten file";
+  EXPECT_FALSE(std::filesystem::exists(cfg.dir));
+}
+
 }  // namespace
 }  // namespace adres::obs

@@ -246,6 +246,25 @@ TEST(PostmortemWriter, BoundsTheStoreByEvictingOldest) {
   }
 }
 
+TEST(PostmortemWriter, FailedWriteReturnsEmptyAndIsNotCounted) {
+  // The store's directory sits under a regular file, so it cannot exist
+  // and no bundle can be opened there.
+  const std::string dir = freshDir("adres_pm_blocked");
+  fs::create_directories(dir);
+  const std::string blocker = dir + "/file";
+  std::ofstream(blocker) << "not a directory";
+  PostmortemConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = blocker + "/bundles";
+  PostmortemWriter writer(cfg);
+
+  EXPECT_EQ(writer.write(fullBundle()), "");
+  EXPECT_EQ(writer.written(), 0u) << "a failed bundle is not counted";
+  EXPECT_TRUE(writer.paths().empty()) << "nor retained";
+  EXPECT_FALSE(fs::exists(cfg.dir));
+  fs::remove_all(dir);
+}
+
 TEST(PostmortemBundleIo, LoadRejectsMissingOrForeignFiles) {
   EXPECT_THROW(loadPostmortemBundle(testing::TempDir() + "adres_pm_nope.json"),
                SimError);

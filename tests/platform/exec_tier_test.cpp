@@ -82,7 +82,7 @@ TEST(ExecTierFarm, AllTiersAreBitAndCycleExact) {
   // Merged adres.counters.v1 totals (activity, memory, RF, icache,
   // config-memory stats across every worker) are identical.
   EXPECT_EQ(ref.stats.counters, native.stats.counters);
-  EXPECT_EQ(ref.stats.groups, native.stats.groups);
+  EXPECT_EQ(ref.stats.regions, native.stats.regions);
   // The adres.profile.v1 cycle-attribution partition — per-region and
   // per-(region, kernel) issue/idle/stall/overhead splits — is identical
   // down to the serialized document.

@@ -66,7 +66,8 @@ TEST(RxSession, AccumulatesStatsAcrossPackets) {
   EXPECT_EQ(r1.bits, r2.bits) << "session reuse is deterministic";
   EXPECT_EQ(r1.cycles, r2.cycles);
   EXPECT_EQ(session.stats().packets, 2u);
-  EXPECT_EQ(session.stats().counters.at("core.cycles"), r1.cycles + r2.cycles);
+  EXPECT_EQ(session.stats().counters[trace::Counter::kCoreCycles],
+            r1.cycles + r2.cycles);
 }
 
 TEST(PacketFarm, OrderedNWorkerRunIsBitExactWithSequentialBaseline) {
@@ -113,13 +114,100 @@ TEST(PacketFarm, OrderedNWorkerRunIsBitExactWithSequentialBaseline) {
   EXPECT_EQ(fs.workers, 4);
   EXPECT_EQ(fs.packets, static_cast<u64>(kPackets));
   EXPECT_EQ(fs.counters, seq.stats().counters);
-  EXPECT_EQ(fs.groups, seq.stats().groups);
+  EXPECT_EQ(fs.regions, seq.stats().regions);
 
   // The aggregate dump carries the schema and the workers extension field.
   std::ostringstream os;
   fs.writeJson(os);
   EXPECT_NE(os.str().find("\"schema\": \"adres.counters.v1\""), std::string::npos);
   EXPECT_NE(os.str().find("\"workers\": 4"), std::string::npos);
+}
+
+TEST(PacketFarm, LiveSimCountersAreExactAfterCollect) {
+  const dsp::ModemConfig cfg = smallConfig();
+  constexpr int kPackets = 6;
+  std::vector<std::array<std::vector<cint16>, 2>> waves;
+  for (int i = 0; i < kPackets; ++i) waves.push_back(makePacket(cfg, i).first);
+
+  RxSession seq(cfg);
+  for (const auto& rx : waves) (void)seq.decode(rx);
+
+  FarmConfig fc;
+  fc.modem = cfg;
+  fc.numWorkers = 3;
+  obs::MetricsRegistry reg;
+  PacketFarm farm(fc);
+  farm.registerMetrics(reg);
+  for (const auto& rx : waves) (void)farm.submit(rx);
+  ASSERT_EQ(farm.collect().size(), static_cast<std::size_t>(kPackets));
+
+  // No finish(): the workers are alive, and every collected packet is
+  // already in the live totals.
+  EXPECT_EQ(farm.liveCounters(), seq.stats().counters);
+  std::ostringstream os;
+  reg.writePrometheus(os);
+  const std::string line = "adres_sim_counter{name=\"core.cycles\"} ";
+  const std::string text = os.str();
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  const u64 cycles = seq.stats().counters[trace::Counter::kCoreCycles];
+  EXPECT_EQ(std::stod(text.substr(at + line.size())),
+            static_cast<double>(cycles));
+
+  reg.clear();  // teardown barrier before the farm dies
+}
+
+TEST(PacketFarm, ZeroPacketFarmDumpsEveryCounterAtZero) {
+  FarmConfig fc;
+  fc.modem = smallConfig();
+  fc.numWorkers = 2;
+  PacketFarm farm(fc);
+  EXPECT_TRUE(farm.finish().empty());
+  std::ostringstream os;
+  farm.stats().writeJson(os);
+  EXPECT_EQ(os.str(),
+            "{\n"
+            "  \"schema\": \"adres.counters.v1\",\n"
+            "  \"workers\": 2,\n"
+            "  \"counters\": {\n"
+            "    \"cdrf.cga_accesses\": 0,\n"
+            "    \"cdrf.reads\": 0,\n"
+            "    \"cdrf.writes\": 0,\n"
+            "    \"cfgmem.context_fetches\": 0,\n"
+            "    \"cfgmem.dma_bytes\": 0,\n"
+            "    \"cga.cycles\": 0,\n"
+            "    \"cga.ops\": 0,\n"
+            "    \"cga.route_moves\": 0,\n"
+            "    \"cga.stall_cycles\": 0,\n"
+            "    \"core.cycles\": 0,\n"
+            "    \"cprf.reads\": 0,\n"
+            "    \"cprf.writes\": 0,\n"
+            "    \"dma.core_cycles\": 0,\n"
+            "    \"dma.transfers\": 0,\n"
+            "    \"dma.words\": 0,\n"
+            "    \"icache.accesses\": 0,\n"
+            "    \"icache.misses\": 0,\n"
+            "    \"l1.bank_conflict_cycles\": 0,\n"
+            "    \"l1.bank_conflicts\": 0,\n"
+            "    \"l1.cga_accesses\": 0,\n"
+            "    \"l1.reads\": 0,\n"
+            "    \"l1.writes\": 0,\n"
+            "    \"lrf.reads\": 0,\n"
+            "    \"lrf.writes\": 0,\n"
+            "    \"mode.switches\": 0,\n"
+            "    \"ops16\": 0,\n"
+            "    \"simd.ops\": 0,\n"
+            "    \"sleep.cycles\": 0,\n"
+            "    \"transports\": 0,\n"
+            "    \"vliw.cycles\": 0,\n"
+            "    \"vliw.ops\": 0,\n"
+            "    \"vliw.stall_cycles\": 0\n"
+            "  },\n"
+            "  \"groups\": {\n"
+            "    \"region\": {\n"
+            "    }\n"
+            "  }\n"
+            "}\n");
 }
 
 TEST(PacketFarm, CollectSupportsRepeatedBatchesOnOneFarm) {
@@ -407,7 +495,7 @@ TEST(RxSession, WarmReloadIsBitAndCycleExactWithColdReload) {
   }
   // The whole counter set — not just cycles — must be reload-invariant.
   EXPECT_EQ(warm.stats().counters, cold.stats().counters);
-  EXPECT_EQ(warm.stats().groups, cold.stats().groups);
+  EXPECT_EQ(warm.stats().regions, cold.stats().regions);
 }
 
 TEST(PacketFarm, SubmittedPayloadsAreMovedNeverCopied) {

@@ -2,6 +2,10 @@
 // a transmitted packet, and its region profiles have the Table 2 shape.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
 
@@ -107,6 +111,38 @@ TEST(ModemOnProcessor, RunOptionsCycleBudgetReportsStopReason) {
   EXPECT_EQ(full.stop, StopReason::kHalt);
   EXPECT_TRUE(full.detected);
   EXPECT_EQ(dsp::bitErrors(full.bits, pkt.bits), 0);
+}
+
+TEST(ModemOnProcessor, CountersJsonWriteFailureThrowsNamingThePath) {
+  dsp::ModemConfig cfg;
+  cfg.mod = dsp::Modulation::kQam64;
+  cfg.numSymbols = 2;
+  Rng rng(5);
+  const dsp::TxPacket pkt = dsp::transmit(cfg, rng);
+  dsp::ChannelConfig cc;
+  cc.flat = true;
+  cc.snrDb = 40;
+  dsp::MimoChannel ch(cc);
+  const auto rx = ch.run(pkt.waveform);
+  const ModemOnProcessor m = buildModemProgram(cfg);
+
+  // The dump's directory sits under a regular file, so it cannot exist.
+  const std::string blocker =
+      testing::TempDir() + "adres_counters_json_blocker";
+  std::filesystem::remove_all(blocker);
+  std::ofstream(blocker) << "not a directory";
+  RxRunOptions opts;
+  opts.countersJsonPath = blocker + "/modem.counters.json";
+  Processor proc;
+  try {
+    (void)runModemOnProcessor(proc, m, rx, opts);
+    ADD_FAILURE() << "an unwritable counters path must throw";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find(opts.countersJsonPath),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(blocker);
 }
 
 TEST(ModemOnProcessor, ProfileHasTable2Shape) {

@@ -1,11 +1,15 @@
 // Trace & telemetry layer: ring-buffer flight recorder, Chrome / JSONL
 // exporters (validated with the shared tests/support/json_min.hpp parser),
-// counter registry, and the processor integration (events emitted during a
-// real program run, zero perturbation when the sink is detached).
+// the fixed counter schema, and the processor integration (events emitted
+// during a real program run, zero perturbation when the sink is detached).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/processor.hpp"
@@ -171,68 +175,100 @@ TEST(JsonlExport, OneValidObjectPerLine) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterRegistry
+// Counter registry: the ADRES_COUNTERS table of the adres.counters.v1 schema
 
-TEST(CounterRegistry, RegisterQueryAndSnapshot) {
-  trace::CounterRegistry reg;
-  u64 x = 7;
-  reg.add("foo.count", [&] { return x; });
-  reg.add("bar.count", [] { return u64{3}; });
-  EXPECT_TRUE(reg.has("foo.count"));
-  EXPECT_FALSE(reg.has("nope"));
-  EXPECT_EQ(reg.value("foo.count"), 7u);
-  x = 9;
-  EXPECT_EQ(reg.value("foo.count"), 9u) << "getters read live state";
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.at("bar.count"), 3u);
-  EXPECT_EQ(snap.at("foo.count"), 9u);
-}
-
+// The dump order is the X-macro row order (counters.hpp static_asserts it
+// too, so a misplaced row already fails the build).
 TEST(CounterRegistry, KeysAreSortedAndStable) {
-  trace::CounterRegistry reg;
-  reg.add("z.metric", [] { return u64{0}; });
-  reg.add("a.metric", [] { return u64{0}; });
-  reg.add("m.metric", [] { return u64{0}; });
-  const auto keys = reg.keys();
-  ASSERT_EQ(keys.size(), 3u);
-  EXPECT_EQ(keys[0], "a.metric");
-  EXPECT_EQ(keys[1], "m.metric");
-  EXPECT_EQ(keys[2], "z.metric");
-  EXPECT_EQ(reg.keys(), keys) << "key set is stable across calls";
+  ASSERT_EQ(trace::kNumCounters, 32u);
+  std::set<std::string_view> unique;
+  for (std::size_t i = 0; i < trace::kNumCounters; ++i) {
+    EXPECT_FALSE(trace::kCounterNames[i].empty()) << i;
+    if (i > 0) {
+      EXPECT_LT(trace::kCounterNames[i - 1], trace::kCounterNames[i])
+          << "row " << i << " breaks the sorted key order";
+    }
+    unique.insert(trace::kCounterNames[i]);
+  }
+  EXPECT_EQ(unique.size(), trace::kNumCounters) << "keys are unique";
+  EXPECT_EQ(trace::counterName(trace::Counter::kCdrfCgaAccesses),
+            "cdrf.cga_accesses");
+  EXPECT_EQ(trace::counterName(trace::Counter::kCoreCycles), "core.cycles");
+  EXPECT_EQ(trace::counterName(trace::Counter::kVliwStallCycles),
+            "vliw.stall_cycles");
+
+  // The dump lists the counters in table order, identically on every call.
+  const trace::CounterBlock block;
+  std::ostringstream first, second;
+  trace::writeCountersJson(first, block, {}, {});
+  trace::writeCountersJson(second, block, {}, {});
+  EXPECT_EQ(first.str(), second.str()) << "dump is stable across calls";
+  std::size_t prev = 0;
+  for (std::string_view key : trace::kCounterNames) {
+    const std::size_t at = first.str().find("\"" + std::string(key) + "\"");
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_GT(at, prev) << key << " is dumped out of table order";
+    prev = at;
+  }
 }
 
 TEST(CounterRegistry, RejectsDuplicateAndEmptyNames) {
-  trace::CounterRegistry reg;
-  reg.add("dup", [] { return u64{0}; });
-  EXPECT_THROW(reg.add("dup", [] { return u64{1}; }), SimError);
-  EXPECT_THROW(reg.add("", [] { return u64{0}; }), SimError);
-  EXPECT_THROW(reg.value("missing"), SimError);
+  using Keys = std::vector<std::string_view>;
+  EXPECT_TRUE(trace::counterKeysStrictlySorted(trace::kCounterNames));
+  EXPECT_TRUE(trace::counterKeysStrictlySorted(Keys{"a.x", "b.y"}));
+  EXPECT_FALSE(trace::counterKeysStrictlySorted(Keys{"dup", "dup"}))
+      << "duplicate key";
+  EXPECT_FALSE(trace::counterKeysStrictlySorted(Keys{"", "a.x"}))
+      << "empty key";
+  EXPECT_FALSE(trace::counterKeysStrictlySorted(Keys{"a.x", ""}))
+      << "empty key after a valid one";
+  EXPECT_FALSE(trace::counterKeysStrictlySorted(Keys{"b.y", "a.x"}))
+      << "out of order";
 }
 
-TEST(CounterRegistry, ResetInvokesHooks) {
-  trace::CounterRegistry reg;
-  u64 counter = 41;
-  reg.add("c", [&] { return counter; });
-  reg.onReset([&] { counter = 0; });
-  EXPECT_EQ(reg.value("c"), 41u);
-  reg.reset();
-  EXPECT_EQ(reg.value("c"), 0u);
+TEST(CounterBlock, IndexesAddsAndCompares) {
+  trace::CounterBlock a;
+  a[trace::Counter::kCgaCycles] = 900;
+  a[trace::Counter::kL1Reads] = 12;
+  trace::CounterBlock b;
+  b[trace::Counter::kCgaCycles] = 100;
+  EXPECT_NE(a, b);
+  a += b;
+  EXPECT_EQ(a[trace::Counter::kCgaCycles], 1000u);
+  EXPECT_EQ(a[trace::Counter::kL1Reads], 12u);
+  EXPECT_EQ(a[trace::Counter::kCoreCycles], 0u) << "value-initialized";
+  trace::CounterBlock c = b;
+  c[trace::Counter::kCgaCycles] = 1000;
+  c[trace::Counter::kL1Reads] = 12;
+  EXPECT_EQ(a, c);
 }
 
-TEST(CounterRegistry, JsonDumpHasStableSchema) {
-  trace::CounterRegistry reg;
-  reg.add("l1.reads", [] { return u64{12}; });
-  reg.add("cga.cycles", [] { return u64{900}; });
-  reg.addGroup("region", [] {
-    return std::vector<std::pair<std::string, u64>>{{"fft.cycles", 100}};
-  });
+TEST(CounterBlock, JsonDumpHasStableSchema) {
+  trace::CounterBlock counters;
+  counters[trace::Counter::kL1Reads] = 12;
+  counters[trace::Counter::kCgaCycles] = 900;
+  RegionProfile fft;
+  fft.cycles = 100;
+  fft.entries = 2;
+  RegionProfile unnamed;
+  unnamed.ops = 5;
+  const std::map<int, RegionProfile> regions{{0, fft}, {7, unnamed}};
   std::ostringstream os;
-  reg.writeJson(os);
+  trace::writeCountersJson(os, counters, regions, {"fft"}, 3);
   JsonValue root = JsonParser(os.str()).parse();
   EXPECT_EQ(root.at("schema").str, "adres.counters.v1");
+  EXPECT_EQ(root.at("workers").number, 3.0);
+  EXPECT_EQ(root.at("counters").object.size(), trace::kNumCounters)
+      << "every counter is dumped, zero or not";
   EXPECT_EQ(root.at("counters").at("l1.reads").number, 12.0);
   EXPECT_EQ(root.at("counters").at("cga.cycles").number, 900.0);
-  EXPECT_EQ(root.at("groups").at("region").at("fft.cycles").number, 100.0);
+  EXPECT_EQ(root.at("counters").at("core.cycles").number, 0.0);
+  const JsonValue& region = root.at("groups").at("region");
+  EXPECT_EQ(region.at("fft.cycles").number, 100.0);
+  EXPECT_EQ(region.at("fft.entries").number, 2.0);
+  EXPECT_EQ(region.at("region7.ops").number, 5.0)
+      << "an id without a name falls back to region<id>";
+  EXPECT_EQ(region.object.size(), 10u) << "five metrics per region";
 }
 
 // ---------------------------------------------------------------------------
@@ -356,11 +392,11 @@ TEST(ProcessorCounters, RegistryCoversEverySubsystemAndResets) {
   Processor p;
   p.load(tracedProgram());
   p.run();
-  trace::CounterRegistry reg;
-  trace::registerProcessorCounters(reg, p);
+  const trace::CounterBlock c = trace::readCounters(p);
 
   // The acceptance contract: core/VLIW/CGA/stall/sleep cycles, I$, L1
   // banks, CDRF/PRF ports, DMA all present under stable names.
+  const auto& names = trace::kCounterNames;
   for (const char* key :
        {"core.cycles", "vliw.cycles", "vliw.stall_cycles", "cga.cycles",
         "cga.stall_cycles", "sleep.cycles", "mode.switches",
@@ -368,24 +404,51 @@ TEST(ProcessorCounters, RegistryCoversEverySubsystemAndResets) {
         "l1.bank_conflicts", "l1.bank_conflict_cycles", "cdrf.reads",
         "cdrf.writes", "cprf.reads", "cprf.writes", "lrf.reads",
         "lrf.writes", "dma.transfers", "dma.words"})
-    EXPECT_TRUE(reg.has(key)) << key;
+    EXPECT_NE(std::find(names.begin(), names.end(), key), names.end()) << key;
 
-  EXPECT_GT(reg.value("core.cycles"), 0u);
-  EXPECT_GT(reg.value("cga.cycles"), 0u);
-  EXPECT_GT(reg.value("icache.accesses"), 0u);
-  EXPECT_EQ(reg.value("mode.switches"), 2u);
+  EXPECT_GT(c[trace::Counter::kCoreCycles], 0u);
+  EXPECT_GT(c[trace::Counter::kCgaCycles], 0u);
+  EXPECT_GT(c[trace::Counter::kIcacheAccesses], 0u);
+  EXPECT_EQ(c[trace::Counter::kModeSwitches], 2u);
 
   std::ostringstream os;
-  reg.writeJson(os);
+  trace::writeCountersJson(p, os);
   JsonValue root = JsonParser(os.str()).parse();
   EXPECT_EQ(root.at("schema").str, "adres.counters.v1");
   EXPECT_TRUE(root.at("groups").hasKey("region"));
 
-  const auto keysBefore = reg.keys();
-  reg.reset();
-  EXPECT_EQ(reg.value("core.cycles"), 0u);
-  EXPECT_EQ(reg.value("icache.accesses"), 0u) << "reset reaches the I$";
-  EXPECT_EQ(reg.keys(), keysBefore) << "schema survives reset";
+  p.resetStats();
+  const trace::CounterBlock after = trace::readCounters(p);
+  EXPECT_EQ(after[trace::Counter::kCoreCycles], 0u);
+  EXPECT_EQ(after[trace::Counter::kIcacheAccesses], 0u)
+      << "reset reaches the I$";
+  std::ostringstream reset;
+  trace::writeCountersJson(p, reset);
+  EXPECT_EQ(JsonParser(reset.str()).parse().at("counters").object.size(),
+            trace::kNumCounters)
+      << "schema survives reset";
+}
+
+// The reset hook behind every counter is Processor::resetStats(): after a
+// run it zeroes each subsystem's counters except dma.*, which keep the
+// program-load transfers on purpose (the power model charges them).
+TEST(CounterRegistry, ResetInvokesHooks) {
+  Processor p;
+  p.load(tracedProgram());
+  p.run();
+  const trace::CounterBlock before = trace::readCounters(p);
+  EXPECT_GT(before[trace::Counter::kCoreCycles], 0u);
+  EXPECT_GT(before[trace::Counter::kDmaTransfers], 0u);
+
+  p.resetStats();
+  const trace::CounterBlock after = trace::readCounters(p);
+  for (std::size_t i = 0; i < trace::kNumCounters; ++i) {
+    const std::string_view key = trace::kCounterNames[i];
+    if (key.starts_with("dma."))
+      EXPECT_EQ(after.values[i], before.values[i]) << key;
+    else
+      EXPECT_EQ(after.values[i], 0u) << key;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // Counting operator new/new[] are replaced globally; after a warm-up that
 // fills every pool and cache (payload buffers, decoded-bit buffers, outcome
-// storage, counter-map keys, region-profile nodes, warm-reload plans), the
+// storage, region-profile nodes, warm-reload plans), the
 // gate snapshots the allocation counter, runs measured rounds of the full
 // producer/consumer loop, and asserts a zero delta.
 //
@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   fc.ordered = true;
   fc.watchdog.enabled = false;  // supervision thread wakes allocate-free, but
                                 // event emission must never fire mid-gate
-  fc.statsPublishInterval = 0;  // publishing copies stat maps by design
   platform::PacketFarm farm(fc);
 
   std::vector<u8> bits;
@@ -167,7 +166,7 @@ int main(int argc, char** argv) {
   std::vector<platform::RxOutcome> outs;
 
   // Warm-up: fills the sample/bit pools, outcome storage, the session's
-  // counter/region accumulators and the warm-reload plan cache.
+  // region accumulators and the warm-reload plan cache.
   u64 trial = 0;
   for (int r = 0; r < warmup; ++r, trial += static_cast<u64>(batch))
     runRound(farm, modem, trial, static_cast<u64>(batch), bits, scratch, outs);
