@@ -1,7 +1,9 @@
 // Shared bench CLI handling: one tiny declarative parser so every bench
 // agrees on flag syntax (`--flag value` / `--flag=value`), keeps its legacy
-// positional arguments, and gets a generated `--help`.  Header-only, used
-// by bench_farm / bench_simspeed / bench_throughput.
+// positional arguments, and gets a generated `--help`.  Header-only, shared
+// by the benches and tools that take flags.  The overhead gates of
+// bench_farm and bench_table2_profiling also share its one host-overhead
+// statistic, pairedMedianOverheadPct.
 //
 //   adres::bench::Args args("bench_farm", "packet-farm throughput sweep");
 //   int packets = 24;
@@ -12,6 +14,7 @@
 //   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +31,36 @@ inline double msSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Off/on pairs per overhead gate.
+inline constexpr int kOverheadPairs = 15;
+
+/// The one host-overhead statistic of the benches' overhead gates: runs
+/// `pairs` off/on pairs back to back, alternating which side goes first,
+/// and returns the median of the per-pair overheads 100 * (on - off) / off.
+/// `off()` and `on()` each run once and return their host cost (e.g. ms).
+/// A slow spell on a shared host hits both runs of a pair alike or is
+/// discarded with the pair's outlier, and alternation cancels any
+/// first-run/second-run bias.
+template <class Off, class On>
+double pairedMedianOverheadPct(int pairs, Off&& off, On&& on) {
+  std::vector<double> pct;
+  for (int i = 0; i < pairs; ++i) {
+    double offCost = 0, onCost = 0;
+    if (i % 2 == 0) {
+      offCost = off();
+      onCost = on();
+    } else {
+      onCost = on();
+      offCost = off();
+    }
+    pct.push_back(offCost > 0 ? 100.0 * (onCost - offCost) / offCost : 0.0);
+  }
+  if (pct.empty()) return 0.0;
+  std::sort(pct.begin(), pct.end());
+  const std::size_t n = pct.size();
+  return n % 2 ? pct[n / 2] : 0.5 * (pct[n / 2 - 1] + pct[n / 2]);
 }
 
 class Args {

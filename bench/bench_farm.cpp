@@ -22,9 +22,10 @@
 // use (any divergence makes the bench exit 2); --slo
 // evaluates an SLO spec list against the live registry (served on /slo with
 // --live-metrics; a breach captures a postmortem bundle when
-// --postmortem-dir is set).  --sentinel-overhead-max-pct runs a paired
-// with/without-sentinel comparison at the largest worker count and fails
-// (exit 1) when the sentinel costs more throughput than the given percent.
+// --postmortem-dir is set).  --sentinel-overhead-max-pct runs
+// bench::kOverheadPairs alternating without/with-sentinel pairs at the
+// largest worker count and fails (exit 1) when the median per-pair overhead
+// in wall time exceeds the given percent.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -102,8 +103,8 @@ int main(int argc, char** argv) {
             "watchdog failures) under DIR",
             &postmortemDir);
   args.flag("sentinel-overhead-max-pct", "PCT",
-            "paired-run overhead gate: fail when the sentinel costs more "
-            "than PCT percent packet throughput",
+            "paired-run overhead gate: fail when the sentinel's median "
+            "per-pair wall-time overhead exceeds PCT percent",
             &overheadMaxPct);
   bench::ExecTierFlag tierFlag(args);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
@@ -359,12 +360,12 @@ int main(int argc, char** argv) {
   }
 
   // Paired overhead gate: same traffic, same worker count, sentinel off vs
-  // on.  Best-of-two per side to damp host noise; postmortem capture and
+  // on, as the median of alternating pairs; postmortem capture and
   // bundling are disabled so the comparison isolates the sentinel itself.
   bool overheadGateFailed = false;
   if (overheadMaxPct > 0) {
     const double rate = sentinelRate >= 0 ? sentinelRate : 0.01;
-    const auto timedRun = [&](double auditRate) {
+    const auto timedRunMs = [&](double auditRate) {
       platform::FarmConfig fc = farmConfigFor(maxWorkers, auditRate);
       fc.postmortem = obs::PostmortemConfig{};
       fc.sentinel.bundleOnDivergence = false;
@@ -373,19 +374,18 @@ int main(int argc, char** argv) {
       for (int i = 0; i < numPackets; ++i)
         (void)f.submit(waves[static_cast<std::size_t>(i)]);
       (void)f.finish();
-      const double wallUs = bench::msSince(t0) * 1000.0;
+      const double wallMs = bench::msSince(t0);
       totalDivergences += f.divergences();
-      return static_cast<double>(numPackets) / (wallUs / 1e6);
+      return wallMs;
     };
-    const double basePps = std::max(timedRun(-1.0), timedRun(-1.0));
-    const double sentPps = std::max(timedRun(rate), timedRun(rate));
-    const double overheadPct =
-        basePps > 0 ? 100.0 * (1.0 - sentPps / basePps) : 0.0;
+    const double overheadPct = bench::pairedMedianOverheadPct(
+        bench::kOverheadPairs, [&] { return timedRunMs(-1.0); },
+        [&] { return timedRunMs(rate); });
     overheadGateFailed = overheadPct > overheadMaxPct;
-    printf("sentinel overhead @ %d workers, rate %.3f: %.1f%% "
-           "(%.1f -> %.1f pkt/s, budget %.1f%%) %s\n",
-           maxWorkers, rate, overheadPct, basePps, sentPps, overheadMaxPct,
-           overheadGateFailed ? "FAIL" : "ok");
+    printf("sentinel overhead @ %d workers, rate %.3f: %+.1f%% wall time "
+           "(median of %d alternating pairs, budget %.1f%%) %s\n",
+           maxWorkers, rate, overheadPct, bench::kOverheadPairs,
+           overheadMaxPct, overheadGateFailed ? "FAIL" : "ok");
   }
 
   if (server && lingerMs > 0) {

@@ -2,16 +2,29 @@
 // MIMO-OFDM modem running on the simulated processor, plus the preamble /
 // data-phase totals and the real-time analysis of §4.
 //
-//   $ ./bench_table2_profiling [countersJsonPath]
+//   $ ./bench_table2_profiling [countersJsonPath] [--profile-json PATH]
+//         [--profile-folded PATH] [--overhead-max-pct PCT]
 //
 // When a path is given, the run's adres.counters.v1 dump is written there.
+// Any of the flags adds the observability phase: bench::kOverheadPairs
+// alternating pairs of cold-reload decodes of the same packet, tracing off
+// vs on (the per-launch profiler plus the region-span log).
+// --profile-json / --profile-folded dump the cycle-attribution profile
+// summed over the traced decodes (adres.profile.v1 JSON / flamegraph
+// folded stacks); --overhead-max-pct makes the run fail (exit 1) when the
+// median per-pair tracing overhead exceeds PCT percent (the CI
+// tracing-overhead gate).
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
+#include "trace/profile.hpp"
 
 using namespace adres;
 using namespace adres::sdr;
@@ -52,7 +65,22 @@ const std::vector<PaperRow> kPaper = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* countersPath = argc > 1 ? argv[1] : nullptr;
+  std::string countersJsonPath;
+  std::string profileJsonPath;
+  std::string profileFoldedPath;
+  double overheadMaxPct = -1.0;
+  bench::Args args("bench_table2_profiling",
+                   "Table 2 profile of the modem on the simulated processor");
+  args.positional("countersJsonPath", "write the adres.counters.v1 dump here",
+                  &countersJsonPath);
+  args.flag("profile-json", "PATH",
+            "write adres.profile.v1 of the traced decodes", &profileJsonPath);
+  args.flag("profile-folded", "PATH", "write flamegraph folded stacks",
+            &profileFoldedPath);
+  args.flag("overhead-max-pct", "PCT",
+            "fail if spans+profiler cost more than PCT% vs tracing off",
+            &overheadMaxPct);
+  if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
   const int numSymbols = 16;  // amortizes cold I$ over the pair loop
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
@@ -69,7 +97,7 @@ int main(int argc, char** argv) {
   const ModemOnProcessor m = buildModemProgram(cfg);
   Processor proc;
   RxRunOptions opts;
-  if (countersPath) opts.countersJsonPath = countersPath;
+  opts.countersJsonPath = countersJsonPath;
   const ProcessorRxResult res = runModemOnProcessor(proc, m, rx, opts);
   const int errs = dsp::bitErrors(res.bits, pkt.bits);
 
@@ -139,7 +167,60 @@ int main(int argc, char** argv) {
   printf("total run: %llu cycles (%.1f us)\n",
          static_cast<unsigned long long>(res.cycles), res.elapsedUs);
 
-  if (countersPath)
-    printf("wrote %s (schema adres.counters.v1)\n", countersPath);
+  if (!countersJsonPath.empty())
+    printf("wrote %s (schema adres.counters.v1)\n", countersJsonPath.c_str());
+  if (profileJsonPath.empty() && profileFoldedPath.empty() &&
+      overheadMaxPct < 0)
+    return 0;
+
+  // -- Observability: tracing overhead + cycle attribution ------------------
+  // Both sides reload the program cold, as the run above did; the traced
+  // side must stay bit- and cycle-exact with it.
+  RxRunOptions off;
+  RxRunOptions on;
+  on.profile = true;
+  std::vector<RegionSpan> regionLog;
+  on.regionLog = &regionLog;
+  trace::ProfileSummary profile;
+  bool exact = true;
+  const auto timedDecode = [&](const RxRunOptions& o) {
+    regionLog.clear();
+    const auto t0 = std::chrono::steady_clock::now();
+    const ProcessorRxResult r = runModemOnProcessor(proc, m, rx, o);
+    const double ms = bench::msSince(t0);
+    exact = exact && r.cycles == res.cycles && r.bits == res.bits;
+    if (o.profile) profile.addProcessor(proc);
+    return ms;
+  };
+  const double overheadPct = bench::pairedMedianOverheadPct(
+      bench::kOverheadPairs, [&] { return timedDecode(off); },
+      [&] { return timedDecode(on); });
+  if (!exact) {
+    fprintf(stderr, "observability run diverged from the baseline\n");
+    return 1;
+  }
+  printf("\nobservability: %+.2f%% host overhead (spans+profiler, median of "
+         "%d alternating pairs)\n",
+         overheadPct, bench::kOverheadPairs);
+  for (const trace::CycleSink& s : profile.topSinks(3))
+    printf("  cycle sink %-28s %10llu cycles  (%.1f%%)\n", s.name.c_str(),
+           static_cast<unsigned long long>(s.cycles), 100.0 * s.share);
+  if (!profileJsonPath.empty()) {
+    std::ofstream os(profileJsonPath);
+    profile.writeJson(os);
+    printf("wrote %s\n", profileJsonPath.c_str());
+  }
+  if (!profileFoldedPath.empty()) {
+    std::ofstream os(profileFoldedPath);
+    profile.writeFolded(os);
+    printf("wrote %s\n", profileFoldedPath.c_str());
+  }
+  if (overheadMaxPct >= 0 && overheadPct > overheadMaxPct) {
+    fprintf(stderr,
+            "tracing overhead %.2f%% exceeds the --overhead-max-pct %.2f%% "
+            "budget\n",
+            overheadPct, overheadMaxPct);
+    return 1;
+  }
   return 0;
 }

@@ -38,8 +38,8 @@ struct CampaignConfig {
   /// vectorized default); bit-identical either way.
   dsp::FrontendConfig frontend;
   /// Per-decode run options forwarded to every cell's farm (exec tier,
-  /// coldReload A/B switch, cycle budget).  All settings keep results
-  /// bit-exact; they steer host speed and observability only.
+  /// cycle budget).  All settings keep results bit-exact; they steer host
+  /// speed and observability only.
   sdr::RxRunOptions run;
   /// Checkpoint file rewritten (atomically) after every completed cell;
   /// empty disables checkpointing.

@@ -1,12 +1,16 @@
 // Minimal self-contained JSON parser — no external dependency.  Used to
 // validate the repo's JSON exporters in tests (Chrome trace,
 // adres.counters.v1, adres.metrics.v1, bench dumps) and to load
-// adres.campaign.v1 checkpoints for resumable campaigns.  Not a
-// general-purpose parser (\uXXXX escapes are accepted but collapsed
-// to '?').
+// adres.campaign.v1 checkpoints and adres.postmortem.v1 bundles.  Not a
+// general-purpose parser (a \uXXXX escape above U+007F collapses to '?'),
+// but it fails closed: nesting is capped at kMaxDepth, numbers follow the
+// JSON grammar and must be finite, and every failure is a
+// std::runtime_error naming its byte offset.
 #pragma once
 
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -33,6 +37,9 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted (the repo's documents use < 10).
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(const std::string& text) : s_(text) {}
 
   JsonValue parse() {
@@ -67,8 +74,14 @@ class JsonParser {
   JsonValue parseValue() {
     skipWs();
     switch (peek()) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        JsonValue v = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"': return parseString();
       case 't': case 'f': return parseBool();
       case 'n': return parseNull();
@@ -128,10 +141,14 @@ class JsonParser {
           case 'r': v.str += '\r'; break;
           case 't': v.str += '\t'; break;
           case 'u': {
-            for (int i = 0; i < 4; ++i)
-              if (!std::isxdigit(static_cast<unsigned char>(get())))
+            std::string hex;
+            for (int i = 0; i < 4; ++i) {
+              hex += get();
+              if (!std::isxdigit(static_cast<unsigned char>(hex.back())))
                 fail("bad \\u escape");
-            v.str += '?';  // codepoint value irrelevant for these tests
+            }
+            const unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
+            v.str += cp < 0x80 ? static_cast<char>(cp) : '?';
             break;
           }
           default: fail("bad escape");
@@ -161,23 +178,48 @@ class JsonParser {
     pos_ += 4;
     return {};
   }
+  bool lookingAt(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+  bool lookingAtDigit() const {
+    return pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]));
+  }
+  /// Consumes a run of digits; returns how many.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (lookingAtDigit()) ++pos_;
+    return pos_ - from;
+  }
+  /// The JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   JsonValue parseNumber() {
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-'))
+    const std::size_t start = pos_;
+    if (lookingAt('-')) ++pos_;
+    if (lookingAt('0')) {
       ++pos_;
-    if (pos_ == start) fail("bad number");
+      if (lookingAtDigit()) fail("bad number: leading zero");
+    } else if (digits() == 0) {
+      fail("bad number");
+    }
+    if (lookingAt('.')) {
+      ++pos_;
+      if (digits() == 0) fail("bad number: no digits after '.'");
+    }
+    if (lookingAt('e') || lookingAt('E')) {
+      ++pos_;
+      if (lookingAt('+') || lookingAt('-')) ++pos_;
+      if (digits() == 0) fail("bad number: no exponent digits");
+    }
     JsonValue v;
     v.type = JsonValue::kNumber;
-    v.number = std::stod(s_.substr(start, pos_ - start));
+    v.number = std::strtod(s_.substr(start, pos_ - start).c_str(), nullptr);
+    if (!std::isfinite(v.number)) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return v;
   }
 
   std::string s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace adres::json

@@ -1,5 +1,7 @@
 #include "obs/buildinfo.hpp"
 
+#include "common/json_escape.hpp"
+
 #ifndef ADRES_VERSION
 #define ADRES_VERSION "0.0.0"
 #endif
@@ -28,16 +30,6 @@ std::string compilerId() {
 #endif
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 const BuildInfo& buildInfo() {
@@ -50,11 +42,11 @@ const BuildInfo& buildInfo() {
 void writeBuildInfoJson(std::ostream& os) {
   const BuildInfo& b = buildInfo();
   os << "{\n  \"schema\": \"adres.buildinfo.v1\",\n"
-     << "  \"version\": \"" << jsonEscape(b.version) << "\",\n"
-     << "  \"git_describe\": \"" << jsonEscape(b.gitDescribe) << "\",\n"
-     << "  \"build_type\": \"" << jsonEscape(b.buildType) << "\",\n"
-     << "  \"sanitize\": \"" << jsonEscape(b.sanitize) << "\",\n"
-     << "  \"compiler\": \"" << jsonEscape(b.compiler) << "\"\n}\n";
+     << "  \"version\": \"" << json::escape(b.version) << "\",\n"
+     << "  \"git_describe\": \"" << json::escape(b.gitDescribe) << "\",\n"
+     << "  \"build_type\": \"" << json::escape(b.buildType) << "\",\n"
+     << "  \"sanitize\": \"" << json::escape(b.sanitize) << "\",\n"
+     << "  \"compiler\": \"" << json::escape(b.compiler) << "\"\n}\n";
 }
 
 }  // namespace adres::obs

@@ -76,6 +76,7 @@ class LogLinearHistogram {
   void reset();
 
   u64 count() const { return count_.load(std::memory_order_relaxed); }
+  u64 sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
   std::vector<std::atomic<u64>> buckets_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json_escape.hpp"
+
 namespace adres::obs {
 namespace {
 
@@ -16,12 +18,19 @@ std::string fmt(double v) {
   return buf;
 }
 
-std::string jsonEscape(const std::string& s) {
+/// A Prometheus text-format label value: backslash, double quote and line
+/// feed become \\, \" and \n, as the format defines; every other byte
+/// passes through.
+std::string promLabelValue(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
+    switch (c) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
   }
   return out;
 }
@@ -43,8 +52,8 @@ std::string promLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i) out += ',';
-    out += promName(labels[i].first) + "=\"" + jsonEscape(labels[i].second) +
-           '"';
+    out += promName(labels[i].first) + "=\"" +
+           promLabelValue(labels[i].second) + '"';
   }
   out += '}';
   return out;
@@ -61,8 +70,8 @@ void jsonLabels(std::ostream& os, const Labels& labels) {
   os << '{';
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i) os << ", ";
-    os << '"' << jsonEscape(labels[i].first) << "\": \""
-       << jsonEscape(labels[i].second) << '"';
+    os << '"' << json::escape(labels[i].first) << "\": \""
+       << json::escape(labels[i].second) << '"';
   }
   os << '}';
 }
@@ -157,14 +166,14 @@ void MetricsSnapshot::writePrometheus(
          << promLabelsWith(s.labels, "le", fmt(le)) << ' '
          << histCumBelow(s.hist, b);
       if (const MetricExemplar* e = exemplarFor(le, false))
-        os << " # {trace_id=\"" << jsonEscape(e->traceId) << "\"} "
+        os << " # {trace_id=\"" << promLabelValue(e->traceId) << "\"} "
            << fmt(e->value);
       os << '\n';
     }
     os << name << "_bucket" << promLabelsWith(s.labels, "le", "+Inf") << ' '
        << s.hist.count;
     if (const MetricExemplar* e = exemplarFor(0, true))
-      os << " # {trace_id=\"" << jsonEscape(e->traceId) << "\"} "
+      os << " # {trace_id=\"" << promLabelValue(e->traceId) << "\"} "
          << fmt(e->value);
     os << '\n';
     os << name << "_sum" << promLabels(s.labels) << ' '
@@ -180,7 +189,7 @@ void MetricsSnapshot::writeJson(std::ostream& os) const {
      << "  \"uptime_ms\": " << fmt(uptimeMs) << ",\n  \"metrics\": [";
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const MetricSample& s = samples[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
+    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
        << "\", \"type\": \""
        << (s.type == MetricType::kCounter ? "counter" : "gauge")
        << "\", \"labels\": ";
@@ -190,7 +199,7 @@ void MetricsSnapshot::writeJson(std::ostream& os) const {
   os << "\n  ],\n  \"summaries\": [";
   for (std::size_t i = 0; i < summaries.size(); ++i) {
     const SummarySample& s = summaries[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
+    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
        << "\", \"labels\": ";
     jsonLabels(os, s.labels);
     os << ", \"count\": " << s.hist.count << ", \"sum\": "
@@ -207,7 +216,7 @@ void MetricsSnapshot::writeJson(std::ostream& os) const {
   os << "\n  ],\n  \"histograms\": [";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& s = histograms[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << jsonEscape(s.name)
+    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
        << "\", \"labels\": ";
     jsonLabels(os, s.labels);
     os << ", \"count\": " << s.hist.count << ", \"sum\": "
@@ -218,7 +227,7 @@ void MetricsSnapshot::writeJson(std::ostream& os) const {
        << ", \"exemplars\": [";
     for (std::size_t e = 0; e < s.exemplars.size(); ++e) {
       os << (e ? ", " : "") << "{\"value\": " << fmt(s.exemplars[e].value)
-         << ", \"trace_id\": \"" << jsonEscape(s.exemplars[e].traceId)
+         << ", \"trace_id\": \"" << json::escape(s.exemplars[e].traceId)
          << "\"}";
     }
     os << "]}";

@@ -6,22 +6,13 @@
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "common/json_escape.hpp"
 #include "common/json_min.hpp"
 #include "obs/buildinfo.hpp"
 #include "trace/export.hpp"
 
 namespace adres::obs {
 namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
 
 u64 hexToU64(const std::string& s) {
   ADRES_CHECK(!s.empty() && s.size() <= 16, "bad hex u64 '" << s << '\'');
@@ -40,7 +31,7 @@ void writeResultRecord(const ResultRecord& r, std::ostream& os,
                        const char* pad) {
   os << "{\n" << pad << "  \"detected\": " << (r.detected ? "true" : "false")
      << ",\n" << pad << "  \"ltf_start\": " << r.ltfStart << ",\n"
-     << pad << "  \"stop\": \"" << jsonEscape(r.stop) << "\",\n"
+     << pad << "  \"stop\": \"" << json::escape(r.stop) << "\",\n"
      << pad << "  \"cycles\": " << r.cycles << ",\n"
      << pad << "  \"total_ops\": " << r.totalOps << ",\n"
      << pad << "  \"bits\": \"";
@@ -118,15 +109,15 @@ ResultRecord toRecord(const DecodeSummary& s) {
 void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
                          const MetricsRegistry* metrics) {
   os << "{\n  \"schema\": \"adres.postmortem.v1\",\n"
-     << "  \"trigger\": \"" << jsonEscape(b.trigger) << "\",\n"
-     << "  \"reason\": \"" << jsonEscape(b.reason) << "\",\n"
+     << "  \"trigger\": \"" << json::escape(b.trigger) << "\",\n"
+     << "  \"reason\": \"" << json::escape(b.reason) << "\",\n"
      << "  \"job_id\": " << b.jobId << ",\n  \"tag\": " << b.tag
      << ",\n  \"worker\": " << b.worker << ",\n  \"trace_id\": \""
      << trace::traceIdHex(b.traceId) << "\",\n  \"config\": {\n"
      << "    \"modulation\": " << b.modulation
      << ",\n    \"num_symbols\": " << b.numSymbols
-     << ",\n    \"exec_tier\": \"" << jsonEscape(b.execTier)
-     << "\",\n    \"shadow_tier\": \"" << jsonEscape(b.shadowTier)
+     << ",\n    \"exec_tier\": \"" << json::escape(b.execTier)
+     << "\",\n    \"shadow_tier\": \"" << json::escape(b.shadowTier)
      << "\",\n    \"max_cycles\": " << b.maxCycles
      << ",\n    \"fault_inject_seed\": \"" << trace::traceIdHex(b.faultInjectSeed)
      << "\"\n  },\n  \"rx\": [\n    ";

@@ -57,6 +57,13 @@ PacketFarm::PacketFarm(FarmConfig cfg)
                std::vector<TraceEvent>* ringOut) {
           return shadowDecode(rx, ringOut);
         });
+    // Pay the shadow's one cold program load here rather than in the first
+    // audit, which would stall its worker for it: every audit then takes
+    // the warm-reload path.
+    shadowExec_.tier = sentinel_->shadowTier();
+    shadowExec_.plans = modem_->plansFor(shadowExec_.tier);
+    shadowExec_.warmReload = true;
+    shadowProc_->load(modem_->program, shadowExec_);
     if (cfg_.sentinel.bundleOnDivergence && postmortems_) {
       sentinel_->setBundleFn(
           [this](const obs::IntegrityEvent& ev,
@@ -178,8 +185,7 @@ std::vector<RxOutcome> PacketFarm::finish() {
 
 u64 PacketFarm::packetsDone() const {
   u64 n = 0;
-  for (const auto& t : telemetry_)
-    n += t->packetsDone.load(std::memory_order_relaxed);
+  for (const auto& t : telemetry_) n += t->latencyNs.count();
   return n;
 }
 
@@ -211,9 +217,7 @@ obs::DecodeSummary PacketFarm::shadowDecode(
     std::vector<TraceEvent>* ringOut) {
   sdr::RxRunOptions opts;
   opts.maxCycles = cfg_.run.maxCycles;
-  opts.exec.tier = sentinel_->shadowTier();
-  opts.exec.plans = modem_->plansFor(opts.exec.tier);
-  opts.exec.warmReload = true;
+  opts.exec = shadowExec_;
   std::unique_ptr<RingBufferSink> ring;
   if (ringOut) {
     ring = std::make_unique<RingBufferSink>(cfg_.sentinel.ringCapacity);
@@ -332,17 +336,11 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
     const WorkerTelemetry* t = telemetry_[static_cast<std::size_t>(w)].get();
     const obs::WorkerHealth* h = &watchdog_->health(w);
     reg.addCounter("adres_farm_worker_packets_total", "decodes by worker",
-                   [t] {
-                     return static_cast<double>(
-                         t->packetsDone.load(std::memory_order_relaxed));
-                   },
+                   [t] { return static_cast<double>(t->latencyNs.count()); },
                    labels);
     reg.addCounter("adres_farm_worker_sim_cycles_total",
                    "simulated cycles decoded by worker",
-                   [t] {
-                     return static_cast<double>(
-                         t->simCycles.load(std::memory_order_relaxed));
-                   },
+                   [t] { return static_cast<double>(t->packetCycles.sum()); },
                    labels);
     reg.addGauge("adres_farm_worker_utilization",
                  "fraction of farm uptime spent decoding",
@@ -351,20 +349,20 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
                        std::chrono::duration<double, std::nano>(
                            std::chrono::steady_clock::now() - startTime_)
                            .count();
-                   return up > 0 ? static_cast<double>(t->busyNs.load(
-                                       std::memory_order_relaxed)) /
-                                       up
+                   return up > 0 ? static_cast<double>(t->latencyNs.sum()) / up
                                  : 0.0;
                  },
                  labels);
     reg.addGauge("adres_farm_worker_ipc",
                  "simulated ops per simulated cycle across worker decodes",
                  [t] {
-                   const double cycles = static_cast<double>(
-                       t->simCycles.load(std::memory_order_relaxed));
+                   const trace::CounterBlock c = t->counters();
+                   const double cycles =
+                       static_cast<double>(t->packetCycles.sum());
                    return cycles > 0
-                              ? static_cast<double>(t->simOps.load(
-                                    std::memory_order_relaxed)) /
+                              ? static_cast<double>(
+                                    c[trace::Counter::kVliwOps] +
+                                    c[trace::Counter::kCgaOps]) /
                                     cycles
                               : 0.0;
                  },
@@ -524,11 +522,6 @@ void PacketFarm::workerMain(int idx) {
       samplePool_.release(std::move(job->rx[1]));
     }
 
-    tele.packetsDone.fetch_add(1, std::memory_order_relaxed);
-    tele.simCycles.fetch_add(out.result.cycles, std::memory_order_relaxed);
-    tele.simOps.fetch_add(session.processor().activity().totalOps(),
-                          std::memory_order_relaxed);
-    tele.busyNs.fetch_add(static_cast<u64>(ns), std::memory_order_relaxed);
     tele.latencyNs.record(static_cast<u64>(ns));
     tele.packetCycles.record(out.result.cycles);
     tele.queueWaitNs.record(static_cast<u64>(out.queueWaitUs * 1000.0));

@@ -271,13 +271,12 @@ class PacketFarm {
 
  private:
   /// Per-worker live telemetry; single writer (the worker), readers on any
-  /// thread (metrics scrapes): lock-free atomics and histograms, plus the
-  /// session's counter block copied under `mu`.
+  /// thread (metrics scrapes): lock-free histograms, plus the session's
+  /// counter block copied under `mu`.  The per-worker series derive from
+  /// these alone: packets = latencyNs.count(), busy time = latencyNs.sum(),
+  /// simulated cycles = packetCycles.sum(), simulated ops = the block's
+  /// vliw.ops + cga.ops.
   struct WorkerTelemetry {
-    std::atomic<u64> packetsDone{0};
-    std::atomic<u64> simCycles{0};
-    std::atomic<u64> simOps{0};
-    std::atomic<u64> busyNs{0};
     obs::LogLinearHistogram latencyNs;
     obs::LogLinearHistogram packetCycles;
     obs::LogLinearHistogram queueWaitNs;
@@ -322,6 +321,9 @@ class PacketFarm {
   /// sentinel).  The ring stats of the last divergence re-decode are stashed
   /// here for the bundle closure — both run under the sentinel's lock.
   std::unique_ptr<Processor> shadowProc_;
+  /// The shadow decoder's policy: the held-back tier's shared plans, warm
+  /// reload armed (the constructor pays the one cold load).
+  ExecPolicy shadowExec_;
   std::unique_ptr<obs::DivergenceSentinel> sentinel_;
   u64 shadowRingAccepted_ = 0;
   u64 shadowRingDropped_ = 0;

@@ -72,8 +72,7 @@ RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
   // The resident program is shared-const and never mutates between decodes,
   // so the session satisfies ExecPolicy::warmReload's immutability contract:
   // from the second decode on, load() only replays the DMA and state reset.
-  // coldReload is the bench/debug opt-out (bit- and cycle-exact, slower).
-  opts_.exec.warmReload = !opts_.coldReload;
+  opts_.exec.warmReload = true;
 }
 
 sdr::ProcessorRxResult RxSession::decode(

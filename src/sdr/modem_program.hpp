@@ -91,11 +91,6 @@ struct RxRunOptions {
   /// every closed region.  Unlike `trace`, both observability hooks keep the
   /// CGA steady-state fast path engaged.
   std::vector<RegionSpan>* regionLog = nullptr;
-  /// Bench/debug A/B reference: force every RxSession decode through the
-  /// cold full program load instead of the warm-reload fast path.  Bit- and
-  /// cycle-exact either way; only host speed differs (bench_trialgen uses
-  /// this to reproduce the pre-warm-reload baseline).
-  bool coldReload = false;
   /// Test-only fault injection: when non-zero, one deterministically chosen
   /// payload bit (SplitMix64 of the seed, modulo the bit count) is flipped
   /// AFTER the gray-word decode — the simulated hardware is untouched, only

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/json_escape.hpp"
 #include "isa/opcodes.hpp"
 
 namespace adres {
@@ -44,29 +45,6 @@ const char* stallCauseName(StallCause c) {
 
 namespace adres::trace {
 namespace {
-
-/// JSON string escaping for the small label set we emit.
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string lookup(const std::vector<std::string>& names, u32 idx,
                    const char* fallbackPrefix) {
@@ -139,7 +117,7 @@ void writeThreadName(std::ostream& os, int tidNum, const std::string& name,
   if (!first) os << ",\n";
   first = false;
   os << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << tidNum
-     << R"(,"args":{"name":")" << jsonEscape(name) << R"("}})";
+     << R"(,"args":{"name":")" << json::escape(name) << R"("}})";
 }
 
 }  // namespace
@@ -167,7 +145,7 @@ void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
   for (const TraceEvent& e : events) {
     os << ",\n";
     const bool span = e.dur > 0;
-    os << "{\"name\":\"" << jsonEscape(nameOf(e, names)) << "\",\"ph\":\""
+    os << "{\"name\":\"" << json::escape(nameOf(e, names)) << "\",\"ph\":\""
        << (span ? 'X' : 'i') << "\",\"ts\":"
        << static_cast<double>(e.cycle) * cyclePeriodUs;
     if (span) os << ",\"dur\":" << static_cast<double>(e.dur) * cyclePeriodUs;
@@ -200,7 +178,7 @@ void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
     os << (i ? ",\n" : "\n") << pad << "{\"kind\": \"" << spanKindName(s.kind)
-       << "\", \"name\": \"" << jsonEscape(s.name)
+       << "\", \"name\": \"" << json::escape(s.name)
        << "\", \"start_us\": " << fmt(s.startUs)
        << ", \"dur_us\": " << fmt(s.durUs)
        << ", \"start_cycle\": " << s.startCycle << ", \"cycles\": " << s.cycles

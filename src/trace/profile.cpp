@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json_escape.hpp"
 #include "core/processor.hpp"
 
 namespace adres::trace {
@@ -13,16 +14,6 @@ std::string kernelName(const Processor& proc, u32 id) {
       !plans->kernels[id].source.name.empty())
     return plans->kernels[id].source.name;
   return "kernel" + std::to_string(id);
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
 }
 
 /// Folded-stack frames must not contain the separators (';' and ' ').
@@ -124,7 +115,7 @@ void ProfileSummary::writeJson(std::ostream& os) const {
      << "  \"total_cycles\": " << totalCycles << ",\n  \"regions\": [";
   bool first = true;
   for (const auto& [name, rr] : regions) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << jsonEscape(name)
+    os << (first ? "\n" : ",\n") << "    {\"name\": \"" << json::escape(name)
        << "\", \"cycles\": " << rr.cycles
        << ", \"vliw_cycles\": " << rr.vliwCycles
        << ", \"cga_cycles\": " << rr.cgaCycles
@@ -136,8 +127,8 @@ void ProfileSummary::writeJson(std::ostream& os) const {
   first = true;
   for (const auto& [key, kr] : kernels) {
     os << (first ? "\n" : ",\n") << "    {\"region\": \""
-       << jsonEscape(key.first) << "\", \"kernel\": \""
-       << jsonEscape(key.second) << "\", \"launches\": " << kr.launches
+       << json::escape(key.first) << "\", \"kernel\": \""
+       << json::escape(key.second) << "\", \"launches\": " << kr.launches
        << ", \"trips\": " << kr.trips << ", \"cycles\": " << kr.cycles
        << ", \"issue_cycles\": " << kr.issueCycles
        << ", \"idle_cycles\": " << kr.idleCycles
@@ -147,7 +138,7 @@ void ProfileSummary::writeJson(std::ostream& os) const {
        << ", \"ops_by_class\": {";
     bool firstCls = true;
     for (const auto& [cls, ops] : kr.opsByClass) {
-      os << (firstCls ? "" : ", ") << '"' << jsonEscape(cls) << "\": " << ops;
+      os << (firstCls ? "" : ", ") << '"' << json::escape(cls) << "\": " << ops;
       firstCls = false;
     }
     os << "}}";

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.hpp"
+#include "common/json_escape.hpp"
 
 namespace adres::trace {
 
@@ -112,20 +113,6 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
   return ps;
 }
 
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 void writeSpansChromeTrace(const std::vector<PacketSpans>& packets,
                            std::ostream& os) {
   constexpr int kPid = 2;  // pid 1 is the cycle-level core trace exporter
@@ -143,7 +130,7 @@ void writeSpansChromeTrace(const std::vector<PacketSpans>& packets,
   }
   for (const PacketSpans& p : packets) {
     for (const Span& s : p.spans) {
-      os << ",\n{\"name\":\"" << escape(s.name) << "\",\"cat\":\""
+      os << ",\n{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
          << spanKindName(s.kind) << "\",\"ph\":\"X\",\"pid\":" << kPid
          << ",\"tid\":" << p.worker << ",\"ts\":" << s.startUs
          << ",\"dur\":" << s.durUs << ",\"args\":{\"trace_id\":\""

@@ -124,26 +124,38 @@ TEST(FrontendAb, ChannelRunIntoMatchesRunAcrossGrid) {
 }
 
 TEST(FrontendAb, GenerateTrialKindsAgree) {
-  ModemConfig mc;
-  mc.mod = Modulation::kQam16;
-  mc.numSymbols = 6;
-  ChannelConfig cc;
-  cc.taps = 3;
-  cc.snrDb = 18.0;
-  cc.cfoPpm = 10.0;
+  struct Cell {
+    Modulation mod;
+    int numSymbols;
+    double snrDb;
+  };
+  // A QAM-16 cell, and the QAM-64 waterfall cell campaigns sweep (4
+  // symbols at 26 dB); both through a 3-tap channel at 10 ppm CFO.
+  for (const Cell cell : {Cell{Modulation::kQam16, 6, 18.0},
+                          Cell{Modulation::kQam64, 4, 26.0}}) {
+    ModemConfig mc;
+    mc.mod = cell.mod;
+    mc.numSymbols = cell.numSymbols;
+    ChannelConfig cc;
+    cc.taps = 3;
+    cc.snrDb = cell.snrDb;
+    cc.cfoPpm = 10.0;
 
-  TrialScratch scalarScratch, vecScratch;
-  for (u64 trial = 0; trial < 8; ++trial) {
-    cc.seed = 1000 + trial;
-    FrontendConfig scalarFe;
-    scalarFe.kind = FrontendKind::kScalar;
-    const TrialOut ref = runTrial(mc, cc, 500 + trial, scalarFe, scalarScratch);
-    for (const int lanes : {1, 16, 160}) {
-      FrontendConfig vecFe;
-      vecFe.kind = FrontendKind::kVectorized;
-      vecFe.lanes = lanes;
-      const TrialOut got = runTrial(mc, cc, 500 + trial, vecFe, vecScratch);
-      EXPECT_TRUE(ref == got) << "trial " << trial << " lanes " << lanes;
+    TrialScratch scalarScratch, vecScratch;
+    for (u64 trial = 0; trial < 8; ++trial) {
+      cc.seed = 1000 + trial;
+      FrontendConfig scalarFe;
+      scalarFe.kind = FrontendKind::kScalar;
+      const TrialOut ref =
+          runTrial(mc, cc, 500 + trial, scalarFe, scalarScratch);
+      for (const int lanes : {1, 16, 160}) {
+        FrontendConfig vecFe;
+        vecFe.kind = FrontendKind::kVectorized;
+        vecFe.lanes = lanes;
+        const TrialOut got = runTrial(mc, cc, 500 + trial, vecFe, vecScratch);
+        EXPECT_TRUE(ref == got) << bitsPerSymbol(cell.mod) << " bits/symbol, "
+                                << "trial " << trial << " lanes " << lanes;
+      }
     }
   }
 }

@@ -96,6 +96,18 @@ TEST(MetricsExport, PrometheusTextCarriesHelpTypeLabelsAndSummaries) {
   EXPECT_NE(text.find("farm_latency_us_sum 5050\n"), std::string::npos);
 }
 
+TEST(MetricsExport, PrometheusLabelValuesEscapeNewlineQuoteAndBackslash) {
+  MetricsRegistry reg;
+  reg.addGauge("g", "gauge", [] { return 1.0; },
+               {{"reason", "a\nb \"q\" c\\d\te"}});
+  std::ostringstream os;
+  reg.writePrometheus(os);
+  // The text format escapes exactly \\, \" and \n; a tab passes through.
+  EXPECT_NE(os.str().find("g{reason=\"a\\nb \\\"q\\\" c\\\\d\te\"} 1\n"),
+            std::string::npos)
+      << os.str();
+}
+
 TEST(MetricsExport, JsonRoundTripsThroughParser) {
   MetricsRegistry reg;
   reg.addCounter("packets_total", "packets", [] { return 12.0; });

@@ -194,6 +194,16 @@ TEST(PostmortemBundleIo, AShadowlessBundleRoundTripsInvalidShadow) {
   EXPECT_EQ(r.shadowTier, "");
 }
 
+TEST(PostmortemBundleIo, ControlCharactersInTheReasonRoundTrip) {
+  PostmortemBundle b = fullBundle();
+  b.reason = "line1\nline2\ttab";
+  std::ostringstream os;
+  writePostmortemJson(b, os);
+  const std::string path = testing::TempDir() + "adres_pm_reason.json";
+  std::ofstream(path) << os.str();
+  EXPECT_EQ(loadPostmortemBundle(path).reason, "line1\nline2\ttab");
+}
+
 TEST(PostmortemBundleIo, RawJsonMatchesTheV1Schema) {
   MetricsRegistry reg;
   reg.addCounter("adres_farm_divergences_total", "t", [] { return 1.0; });

@@ -139,5 +139,26 @@ TEST(BenchArgs, DashAloneRemainsAValidStringPositional) {
   EXPECT_EQ(d.path, "-");
 }
 
+TEST(BenchArgs, PairedMedianOverheadAlternatesSidesAndTakesTheMedian) {
+  // Scripted host costs: every off run costs 100; the on runs cost 103,
+  // 180 (a slow spell), 104, 50 and 102.  Per-pair overheads are then
+  // +3, +80, +4, -50, +2: the median (+3) ignores both outliers.
+  const std::vector<double> onCosts = {103, 180, 104, 50, 102};
+  std::string order;
+  std::size_t next = 0;
+  const double pct = pairedMedianOverheadPct(
+      5,
+      [&] {
+        order += 'f';
+        return 100.0;
+      },
+      [&] {
+        order += 'n';
+        return onCosts[next++];
+      });
+  EXPECT_DOUBLE_EQ(pct, 3.0);
+  EXPECT_EQ(order, "fnnffnnffn") << "the side that runs first alternates";
+}
+
 }  // namespace
 }  // namespace adres::bench

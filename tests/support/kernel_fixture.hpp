@@ -1,5 +1,5 @@
 // Shared Table 2 kernel fixture for the timing-golden test, the fast-path
-// A/B test, the golden-dump tool and bench_simspeed.
+// A/B test and the golden-dump tool.
 //
 // Every mapped kernel of the MIMO-OFDM receiver is scheduled once and given
 // a deterministic standalone environment: L1 pre-filled with a fixed
@@ -9,9 +9,6 @@
 // constants).  Data *values* are arbitrary — every compute op is total
 // (shifts masked, divide-by-zero defined) — but addresses are always valid
 // and aligned, so runs are deterministic and assertion-free.
-//
-// Uses only the stable CgaArray API so the same header compiles against the
-// pre-fast-path simulator (baseline capture for BENCH_simspeed.json).
 #pragma once
 
 #include <functional>

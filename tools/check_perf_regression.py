@@ -1,57 +1,113 @@
 #!/usr/bin/env python3
 """CI perf-regression gate for the simulator's host speed.
 
-Compares a fresh bench_simspeed run against the committed baseline
-(BENCH_simspeed.json at the repo root) and fails when any case regressed by
-more than the threshold.  Accepts both dump shapes:
+Runs perfbench (perfbench/run.py) on its Table 2 workload,
+modem_qam64_16sym, RUNS (10) times traced and RUNS times untraced (4 s
+each, seed 1, alternating), and gates 19 cases against the committed
+baseline in BENCH_perfbench.json at the repo root:
 
-  adres.bench_simspeed.v1     one run (kernels[] + modem + farm)
-  adres.bench_simspeed.ab.v1  a baseline/after pair — the "after" section
-                              (the current optimized state) is the baseline
+  cga.<k>.ns_per_cycle   17 Table 2 kernels on a prebuilt plan  (traced)
+  sdr.rx_ns_per_cycle    whole-modem decode, warm reload        (traced)
+  packets_per_s          closed-loop farm throughput            (untraced)
 
-Because the baseline was recorded on a different machine than the CI
-runner, raw Mcycles/s are not comparable directly.  The gate therefore
-normalizes by the median speed ratio across every case ("this runner is
-0.7x the baseline machine") and flags cases whose ratio falls more than
---threshold below that median — a uniform slowdown passes, a lopsided one
-(one kernel or the modem/farm path got slower relative to the rest) fails.
-With --absolute the raw per-case ratios are gated instead (same-machine
-A/B runs).
+Each case takes its best run (lowest ns/cycle, highest packets/s): on a
+shared host interference only ever slows a run.  The baseline was recorded
+on another machine, so raw speeds are not comparable directly.  The gate
+therefore divides each case's current/baseline speed ratio by the median
+ratio over all cases ("this runner is 0.7x the baseline machine") and
+flags cases that fall more than THRESHOLD (25%) below it: a uniform slowdown
+passes, a lopsided one (one kernel, the VLIW glue or the farm path got
+slower relative to the rest) fails.
 
 Usage:
-  tools/check_perf_regression.py --baseline BENCH_simspeed.json \
-      --current build-rel/BENCH_simspeed_ci.json [--threshold 0.25]
+  tools/check_perf_regression.py [--save cur.json]   # run and gate
+  tools/check_perf_regression.py --current cur.json  # gate saved results
+  tools/check_perf_regression.py --record            # regenerate the baseline
 
-Exit code 0 = no regression, 1 = regression, 2 = bad input.
+--record takes each case's best over RECORD_RUNS = 3 x RUNS traced and
+untraced runs, so the baseline is not one slow best-of-RUNS draw, and
+rewrites only the "gate" section of BENCH_perfbench.json; its "history"
+array (per-change perfbench medians) is left as it is.
+
+Exit code 0 = no regression, 1 = regression, 2 = bad input or failed run.
 """
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOAD = "modem_qam64_16sym"
+SEED = 1
+SECONDS = 4
+# Best of RUNS holds the gate still on a shared host; if it proves too few,
+# raise RUNS, never the threshold.  (Best of 5 failed 2 of 10 runs on a
+# contended 4-vCPU Xeon: one kernel slow through all five of its runs.)
+RUNS = 10
+RECORD_RUNS = 3 * RUNS
+THRESHOLD = 0.25  # max tolerated fractional regression
+KERNELS = ["acorr", "cfo", "fshift", "xcorr", "bitrev"] + \
+    ["fft_stage%d" % i for i in range(1, 7)] + \
+    ["interleave", "chest", "eqnorm", "eqapply", "comp", "demod"]
+TRACED = ["cga.%s.ns_per_cycle" % k for k in KERNELS] + ["sdr.rx_ns_per_cycle"]
+UNTRACED = ["packets_per_s"]
+CASES = TRACED + UNTRACED
 
-def load_run(path):
-    """Returns the v1 run dict from either dump shape."""
-    with open(path) as f:
-        doc = json.load(f)
-    schema = doc.get("schema", "")
-    if schema == "adres.bench_simspeed.ab.v1":
-        doc = doc.get("after", {})
-        schema = doc.get("schema", "")
-    if schema != "adres.bench_simspeed.v1":
-        raise ValueError(f"{path}: unsupported schema {schema!r}")
-    return doc
+
+def speed(case, value):
+    """Speed of a case value (higher is better): packets/s, or 1/ns-per-cycle."""
+    return value if case in UNTRACED else 1.0 / value
 
 
-def cases(run):
-    """Flattens a run into {case name: speed} (higher is better)."""
-    out = {}
-    for k in run.get("kernels", []):
-        out[f"kernel/{k['name']}"] = float(k["mcyclesPerSec"])
-    if "modem" in run:
-        out["modem"] = float(run["modem"]["mcyclesPerSec"])
-    if "farm" in run:
-        out["farm"] = float(run["farm"]["packetsPerSec"])
-    return out
+def run_perfbench(checkout, workload, seconds, trace, env=None):
+    """One perfbench run (seed SEED) of `checkout`, in subprocess
+    environment `env` (default: this one); returns its metrics as
+    {name: value}."""
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+           "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    res = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                         text=True, check=False)
+    lines = res.stdout.strip().splitlines()
+    what = "%s: perfbench %s --trace %d" % (checkout, workload, trace)
+    if res.returncode != 0 or not lines:
+        raise RuntimeError("%s exited %d" % (what, res.returncode))
+    doc = json.loads(lines[-1])
+    if not doc.get("correct"):
+        raise RuntimeError("%s failed its checks" % what)
+    return {k: float(v["value"]) for k, v in doc["metrics"].items()}
+
+
+def measure(runs):
+    """Best of `runs` traced and `runs` untraced runs, alternating."""
+    best = {}
+    for i in range(runs):
+        for trace in ((1, 0) if i % 2 == 0 else (0, 1)):
+            metrics = run_perfbench(ROOT, WORKLOAD, SECONDS, trace)
+            for case in (TRACED if trace else UNTRACED):
+                v = metrics[case]
+                if v <= 0:
+                    raise RuntimeError("%s read %g" % (case, v))
+                if case not in best or speed(case, v) > speed(case, best[case]):
+                    best[case] = v
+            print("perf gate: run %d/%d (trace %d) done"
+                  % (i + 1, runs, trace), flush=True)
+    return best
+
+
+def host():
+    """CPU model and logical CPU count, recorded beside a baseline."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return "%s, nproc %d" % (line.split(":", 1)[1].strip(),
+                                             os.cpu_count())
+    except OSError:
+        pass
+    return "%s, nproc %d" % (platform.machine(), os.cpu_count())
 
 
 def median(values):
@@ -60,57 +116,83 @@ def median(values):
     return s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2])
 
 
+def gate(base, cur):
+    """Prints the comparison; returns the regressed case names."""
+    missing = [c for c in CASES if c not in base or c not in cur]
+    if missing:
+        raise ValueError("cases missing: " + ", ".join(missing))
+    ratios = {c: speed(c, cur[c]) / speed(c, base[c]) for c in CASES}
+    med = median(list(ratios.values()))
+    print("perf gate: %d cases, threshold %.0f%%, median-normalized (x%.3f)"
+          % (len(CASES), THRESHOLD * 100, med))
+    failed = []
+    for c in CASES:
+        rel = ratios[c] / med
+        status = "OK"
+        if rel < 1.0 - THRESHOLD:
+            status = "REGRESSED"
+            failed.append(c)
+        print("  %-28s base %10.4g  cur %10.4g  speed ratio %6.3f  "
+              "vs-median %6.3f  %s" % (c, base[c], cur[c], ratios[c], rel,
+                                       status))
+    return failed
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", required=True,
-                    help="committed BENCH_simspeed.json (v1 or ab.v1)")
-    ap.add_argument("--current", required=True,
-                    help="fresh bench_simspeed dump (v1)")
-    ap.add_argument("--threshold", type=float, default=0.25,
-                    help="max tolerated fractional regression (default 0.25)")
-    ap.add_argument("--absolute", action="store_true",
-                    help="gate raw ratios instead of median-normalized ones")
+    ap.add_argument("--baseline",
+                    default=os.path.join(ROOT, "BENCH_perfbench.json"),
+                    help="committed baseline (default: BENCH_perfbench.json)")
+    ap.add_argument("--current",
+                    help="gate these saved results instead of running")
+    ap.add_argument("--save", help="write the measured results here")
+    ap.add_argument("--record", action="store_true",
+                    help="write the measured results as the new baseline")
     args = ap.parse_args()
 
     try:
-        base = cases(load_run(args.baseline))
-        cur = cases(load_run(args.current))
-    except (OSError, ValueError, KeyError) as e:
-        print(f"perf gate: bad input: {e}", file=sys.stderr)
+        runs = RECORD_RUNS if args.record else RUNS
+        if args.current:
+            with open(args.current) as f:
+                saved = json.load(f)
+            cur, runs = saved["cases"], saved["runs"]
+        else:
+            cur = measure(runs)
+        measured = {
+            "workload": WORKLOAD, "seed": SEED, "seconds": SECONDS,
+            "runs": runs, "host": host(),
+            "cases": {c: cur[c] for c in CASES if c in cur},
+        }
+        if args.save:
+            with open(args.save, "w") as f:
+                json.dump(measured, f, indent=1)
+                f.write("\n")
+        if args.record:
+            doc = {"schema": "adres.bench_perfbench.v1", "gate": {},
+                   "history": []}
+            if os.path.exists(args.baseline):
+                with open(args.baseline) as f:
+                    doc = json.load(f)
+            doc["gate"] = measured
+            with open(args.baseline, "w") as f:
+                json.dump(doc, f, indent=1)
+                f.write("\n")
+            print("perf gate: recorded %s" % args.baseline)
+            return 0
+        with open(args.baseline) as f:
+            doc = json.load(f)
+        if doc.get("schema") != "adres.bench_perfbench.v1":
+            raise ValueError("%s: unsupported schema %r"
+                             % (args.baseline, doc.get("schema")))
+        failed = gate(doc["gate"]["cases"], cur)
+    except (OSError, ValueError, KeyError, RuntimeError) as e:
+        print("perf gate: bad input: %s" % e, file=sys.stderr)
         return 2
-
-    shared = sorted(set(base) & set(cur))
-    if not shared:
-        print("perf gate: no comparable cases between the two dumps",
-              file=sys.stderr)
-        return 2
-    missing = sorted(set(base) - set(cur))
-    if missing:
-        print(f"perf gate: WARNING: cases missing from current run: "
-              f"{', '.join(missing)}")
-
-    ratios = {name: cur[name] / base[name] for name in shared
-              if base[name] > 0}
-    med = 1.0 if args.absolute else median(list(ratios.values()))
-    mode = "absolute" if args.absolute else f"median-normalized (x{med:.3f})"
-    print(f"perf gate: {len(ratios)} cases, threshold "
-          f"{args.threshold:.0%}, mode {mode}")
-
-    failed = []
-    for name in shared:
-        if base[name] <= 0:
-            continue
-        rel = ratios[name] / med
-        status = "OK"
-        if rel < 1.0 - args.threshold:
-            status = "REGRESSED"
-            failed.append(name)
-        print(f"  {name:<22} base {base[name]:10.2f}  cur {cur[name]:10.2f}"
-              f"  ratio {ratios[name]:6.3f}  vs-median {rel:6.3f}  {status}")
 
     if failed:
-        print(f"perf gate: FAIL — {len(failed)} case(s) regressed more than "
-              f"{args.threshold:.0%}: {', '.join(failed)}", file=sys.stderr)
+        print("perf gate: FAIL — %d case(s) regressed more than %.0f%%: %s"
+              % (len(failed), THRESHOLD * 100, ", ".join(failed)),
+              file=sys.stderr)
         return 1
     print("perf gate: PASS")
     return 0

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Render a ranked cycle-sink report from an adres.profile.v1 dump.
 
-Reads the JSON the cycle-attribution profiler writes (bench_simspeed
---profile-json, or any ProfileSummary::writeJson) and prints the top
-steady-state cycle sinks with each kernel's booked cycles attributed to
-issue / idle / stall / overhead, plus the per-(dispatch kind, latency)
-op-class mix.  Markdown output (--md) is what PROFILE.md is generated from.
+Reads the JSON the cycle-attribution profiler writes
+(bench_table2_profiling --profile-json, or any ProfileSummary::writeJson)
+and prints the top steady-state cycle sinks with each kernel's booked
+cycles attributed to issue / idle / stall / overhead, plus the
+per-(dispatch kind, latency) op-class mix.  Markdown output (--md) is
+what PROFILE.md is generated from.
 
 Usage:
   tools/profile_report.py adres_profile.json [--top N] [--md]
