@@ -180,7 +180,6 @@ int main(int argc, char** argv) {
     if (auditRate >= 0) {
       fc.sentinel.enabled = true;
       fc.sentinel.sampleRate = auditRate;
-      fc.sentinel.bundleOnDivergence = !postmortemDir.empty();
     }
     if (!postmortemDir.empty()) {
       fc.postmortem.enabled = true;
@@ -360,15 +359,14 @@ int main(int argc, char** argv) {
   }
 
   // Paired overhead gate: same traffic, same worker count, sentinel off vs
-  // on, as the median of alternating pairs; postmortem capture and
-  // bundling are disabled so the comparison isolates the sentinel itself.
+  // on, as the median of alternating pairs; postmortem capture is off so
+  // the comparison isolates the sentinel itself.
   bool overheadGateFailed = false;
   if (overheadMaxPct > 0) {
     const double rate = sentinelRate >= 0 ? sentinelRate : 0.01;
     const auto timedRunMs = [&](double auditRate) {
       platform::FarmConfig fc = farmConfigFor(maxWorkers, auditRate);
       fc.postmortem = obs::PostmortemConfig{};
-      fc.sentinel.bundleOnDivergence = false;
       platform::PacketFarm f(fc);
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < numPackets; ++i)

@@ -1,8 +1,7 @@
 // Crash-safe file replacement for every persisted artefact (checkpoints,
-// cell summaries, postmortem bundles, exemplars, counter dumps): the bytes
-// go to `<path>.tmp` and are renamed over `path` only once fully written,
-// so a reader sees the previous file or the complete new one, never a torn
-// write.
+// cell summaries, postmortem bundles, counter dumps): the bytes go to
+// `<path>.tmp` and are renamed over `path` only once fully written, so a
+// reader sees the previous file or the complete new one, never a torn write.
 #pragma once
 
 #include <cstdio>

@@ -6,6 +6,12 @@
 #include "common/hash.hpp"
 
 namespace adres::obs {
+namespace {
+
+/// Flight-recorder depth of the divergence re-decode (the bundle's ring).
+constexpr std::size_t kRingCapacity = 4096;
+
+}  // namespace
 
 const char* integrityEventKindName(IntegrityEvent::Kind k) {
   switch (k) {
@@ -99,42 +105,29 @@ bool DivergenceSentinel::shouldSample(u64 traceId) const {
 }
 
 std::optional<IntegrityEvent> DivergenceSentinel::audit(
-    u64 jobId, u32 tag, int worker, u64 traceId,
-    const std::array<std::vector<cint16>, 2>& rx,
-    const DecodeSummary& primary) {
-  std::optional<IntegrityEvent> out;
-  EventHook hook;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    sampled_.fetch_add(1, std::memory_order_relaxed);
-    const DecodeSummary shadow = shadow_(rx, nullptr);
-    out = compareDecodes(primary, shadow);
-    if (!out) return std::nullopt;
-
-    out->jobId = jobId;
-    out->tag = tag;
-    out->worker = worker;
-    out->traceId = traceId;
-    out->shadowTier = execTierName(shadowTier_);
-    if (bundleFn_ && cfg_.bundleOnDivergence) {
-      // The decode is deterministic, so a second shadow run — this time with
-      // the flight recorder attached — reproduces the divergent decode
-      // exactly while keeping the common sampled path on the fast loop.
-      std::vector<TraceEvent> ring;
-      const DecodeSummary shadowTraced = shadow_(rx, &ring);
-      out->bundlePath = bundleFn_(*out, rx, primary, shadowTraced, ring);
-    }
-    divergences_.fetch_add(1, std::memory_order_relaxed);
-    events_.push_back(*out);
-    hook = hook_;
-  }
-  if (hook) hook(*out);
-  return out;
-}
-
-void DivergenceSentinel::setEventHook(EventHook hook) {
+    const DecodedPacket& p) {
   std::lock_guard<std::mutex> lk(mu_);
-  hook_ = std::move(hook);
+  sampled_.fetch_add(1, std::memory_order_relaxed);
+  std::optional<IntegrityEvent> out =
+      compareDecodes(p.primary, shadow_(p, nullptr));
+  if (!out) return std::nullopt;
+
+  out->jobId = p.jobId;
+  out->tag = p.tag;
+  out->worker = p.worker;
+  out->traceId = p.traceId;
+  out->shadowTier = execTierName(shadowTier_);
+  if (bundleFn_) {
+    // The decode is deterministic, so a second shadow run — this time with
+    // the flight recorder attached — reproduces the divergent decode exactly
+    // while keeping the common sampled path on the fast loop.
+    RingBufferSink ring(kRingCapacity);
+    const DecodeSummary shadowTraced = shadow_(p, &ring);
+    out->bundlePath = bundleFn_(*out, p, shadowTraced, ring);
+  }
+  divergences_.fetch_add(1, std::memory_order_relaxed);
+  events_.push_back(*out);
+  return out;
 }
 
 void DivergenceSentinel::setBundleFn(BundleFn fn) {

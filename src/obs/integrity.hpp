@@ -10,9 +10,11 @@
 // decoder running the OTHER exec tier — reference behind a native farm,
 // native behind a reference farm (a same-tier shadow would audit nothing
 // independent) — comparing decoded bits, the simulated cycle count, the
-// result metadata and the per-region counter partition.  Any mismatch
-// becomes a structured IntegrityEvent — and, through the bundle hook, a
-// replayable `adres.postmortem.v1` bundle carrying the exact payload.
+// result metadata and the per-region counter partition.  The shadow runs
+// under the packet's own cycle budget, so a decode the budget stopped is
+// compared with an equally stopped one.  Any mismatch becomes a structured
+// IntegrityEvent — and, through the bundle hook, a replayable
+// `adres.postmortem.v1` bundle carrying the exact payload.
 //
 // Layering: the sentinel owns the sampling math, the comparison and the
 // event bookkeeping; the *decoding* is injected as a callback so obs/ never
@@ -32,6 +34,7 @@
 #include "cga/exec_tier.hpp"
 #include "common/types.hpp"
 #include "core/processor.hpp"
+#include "trace/span.hpp"
 #include "trace/trace.hpp"
 
 namespace adres::obs {
@@ -44,11 +47,6 @@ struct SentinelConfig {
   /// Mixed into the sampling hash; changing it selects a different (still
   /// deterministic) packet subset.
   u64 seed = 0x51DE'C0DEull;
-  /// Write an adres.postmortem.v1 bundle (via the bundle hook) per
-  /// divergence.
-  bool bundleOnDivergence = true;
-  /// Flight-recorder depth for the divergence re-decode (bundle artifact).
-  std::size_t ringCapacity = 4096;
 };
 
 /// Everything of one decode the sentinel compares — a tier-agnostic summary
@@ -63,6 +61,23 @@ struct DecodeSummary {
   /// Per-region counter partition (region id -> profile), from
   /// Processor::profiles() after the decode.
   std::map<int, RegionProfile> regions;
+};
+
+/// One decoded packet as the self-auditing layer sees it: identity, the
+/// exact payload, the cycle budget its decode ran under, and that decode's
+/// summary and span tree — what the sentinel audits and what a postmortem
+/// bundle freezes.
+struct DecodedPacket {
+  u64 jobId = 0;
+  u32 tag = 0;
+  int worker = -1;
+  u64 traceId = 0;
+  /// Effective simulated-cycle budget: the per-job cap (RxJob::maxCycles)
+  /// when tighter than the farm's run budget.
+  u64 maxCycles = 0;
+  const std::array<std::vector<cint16>, 2>& rx;
+  const DecodeSummary& primary;
+  const trace::PacketSpans& spans;  ///< empty unless span recording is on
 };
 
 /// One detected primary/shadow mismatch.
@@ -96,21 +111,19 @@ ExecTier shadowTierFor(ExecTier primary);
 
 class DivergenceSentinel {
  public:
-  /// Shadow decoder: decodes `rx` on the held-back tier and summarizes the
-  /// result.  When `ringOut` is non-null the decode must run with a
-  /// flight-recorder sink attached and return its events (used only for
-  /// the divergence re-decode, so the common path stays on the fast loop).
-  using ShadowDecodeFn = std::function<DecodeSummary(
-      const std::array<std::vector<cint16>, 2>& rx,
-      std::vector<TraceEvent>* ringOut)>;
+  /// Shadow decoder: decodes `p.rx` on the held-back tier under
+  /// `p.maxCycles` and summarizes the result.  A non-null `trace` must be
+  /// attached to the decode (only the divergence re-decode passes one, so
+  /// the common sampled path stays on the fast loop).
+  using ShadowDecodeFn =
+      std::function<DecodeSummary(const DecodedPacket& p, TraceSink* trace)>;
   /// Bundle writer hook, called per divergence (after the re-decode) with
-  /// the event, both summaries and the shadow flight-recorder ring; returns
-  /// the persisted bundle path ("" when not persisted).
+  /// the event, the audited packet, the shadow summary and the shadow's
+  /// flight-recorder ring; returns the persisted bundle path ("" when not
+  /// persisted).
   using BundleFn = std::function<std::string(
-      const IntegrityEvent& ev, const std::array<std::vector<cint16>, 2>& rx,
-      const DecodeSummary& primary, const DecodeSummary& shadow,
-      const std::vector<TraceEvent>& ring)>;
-  using EventHook = std::function<void(const IntegrityEvent&)>;
+      const IntegrityEvent& ev, const DecodedPacket& p,
+      const DecodeSummary& shadow, const RingBufferSink& ring)>;
 
   /// `primaryTier` is the tier the audited traffic decodes on; `shadow`
   /// must decode on shadowTier() == shadowTierFor(primaryTier).
@@ -122,18 +135,11 @@ class DivergenceSentinel {
   /// Deterministic sampling decision for a packet trace id.
   bool shouldSample(u64 traceId) const;
 
-  /// Shadow-decodes `rx`, compares against `primary`, and on mismatch
+  /// Shadow-decodes `p.rx`, compares against `p.primary`, and on mismatch
   /// records (and returns) an IntegrityEvent.  Serialized internally: one
-  /// shadow decode at a time.  Call only when shouldSample() returned true
-  /// and while the rx payload is still alive.
-  std::optional<IntegrityEvent> audit(
-      u64 jobId, u32 tag, int worker, u64 traceId,
-      const std::array<std::vector<cint16>, 2>& rx,
-      const DecodeSummary& primary);
+  /// shadow decode at a time.  Call only when shouldSample() returned true.
+  std::optional<IntegrityEvent> audit(const DecodedPacket& p);
 
-  /// Mirrors every divergence to `hook` (called without internal locks
-  /// held).  Set before traffic.
-  void setEventHook(EventHook hook);
   /// Installs the postmortem bundle writer.  Set before traffic.
   void setBundleFn(BundleFn fn);
 
@@ -151,7 +157,6 @@ class DivergenceSentinel {
   u64 sampleThreshold_ = 0;  ///< hash < threshold -> sampled
   ShadowDecodeFn shadow_;
   BundleFn bundleFn_;
-  EventHook hook_;
   std::atomic<u64> sampled_{0};
   std::atomic<u64> divergences_{0};
   mutable std::mutex mu_;  ///< serializes shadow decodes, guards events_

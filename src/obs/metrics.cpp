@@ -149,33 +149,14 @@ void MetricsSnapshot::writePrometheus(
       os << "# HELP " << name << ' ' << *h << '\n';
     }
     os << "# TYPE " << name << " histogram\n";
-    std::vector<bool> used(s.exemplars.size(), false);
-    const auto exemplarFor = [&](double leExport,
-                                 bool isInf) -> const MetricExemplar* {
-      for (std::size_t i = 0; i < s.exemplars.size(); ++i) {
-        if (!used[i] && (isInf || s.exemplars[i].value <= leExport)) {
-          used[i] = true;
-          return &s.exemplars[i];
-        }
-      }
-      return nullptr;
-    };
     for (const u64 b : histBounds(s.hist)) {
-      const double le = static_cast<double>(b) * s.scale;
       os << name << "_bucket"
-         << promLabelsWith(s.labels, "le", fmt(le)) << ' '
-         << histCumBelow(s.hist, b);
-      if (const MetricExemplar* e = exemplarFor(le, false))
-        os << " # {trace_id=\"" << promLabelValue(e->traceId) << "\"} "
-           << fmt(e->value);
-      os << '\n';
+         << promLabelsWith(s.labels, "le",
+                           fmt(static_cast<double>(b) * s.scale))
+         << ' ' << histCumBelow(s.hist, b) << '\n';
     }
     os << name << "_bucket" << promLabelsWith(s.labels, "le", "+Inf") << ' '
-       << s.hist.count;
-    if (const MetricExemplar* e = exemplarFor(0, true))
-      os << " # {trace_id=\"" << promLabelValue(e->traceId) << "\"} "
-         << fmt(e->value);
-    os << '\n';
+       << s.hist.count << '\n';
     os << name << "_sum" << promLabels(s.labels) << ' '
        << fmt(static_cast<double>(s.hist.sum) * s.scale) << '\n';
     os << name << "_count" << promLabels(s.labels) << ' '
@@ -223,14 +204,7 @@ void MetricsSnapshot::writeJson(std::ostream& os) const {
        << fmt(static_cast<double>(s.hist.sum) * s.scale)
        << ", \"min\": " << fmt(static_cast<double>(s.hist.min) * s.scale)
        << ", \"max\": " << fmt(static_cast<double>(s.hist.max) * s.scale)
-       << ", \"mean\": " << fmt(s.hist.mean() * s.scale)
-       << ", \"exemplars\": [";
-    for (std::size_t e = 0; e < s.exemplars.size(); ++e) {
-      os << (e ? ", " : "") << "{\"value\": " << fmt(s.exemplars[e].value)
-         << ", \"trace_id\": \"" << json::escape(s.exemplars[e].traceId)
-         << "\"}";
-    }
-    os << "]}";
+       << ", \"mean\": " << fmt(s.hist.mean() * s.scale) << '}';
   }
   os << "\n  ]\n}\n";
 }
@@ -263,10 +237,10 @@ void MetricsRegistry::addSummary(std::string name, std::string help,
 void MetricsRegistry::addHistogram(std::string name, std::string help,
                                    double scale,
                                    std::function<HistogramSnapshot()> fn,
-                                   ExemplarFn exemplarFn, Labels labels) {
+                                   Labels labels) {
   std::lock_guard<std::mutex> lk(mu_);
   histograms_.push_back({std::move(name), std::move(help), std::move(labels),
-                         scale, std::move(fn), std::move(exemplarFn)});
+                         scale, std::move(fn)});
 }
 
 void MetricsRegistry::addCounterFamily(std::string name, std::string help,
@@ -320,11 +294,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
                      return a.name < b.name;
                    });
   out.histograms.reserve(histograms_.size());
-  for (const HistogramDef& d : histograms_) {
-    out.histograms.push_back({d.name, d.labels, d.scale, d.fn(),
-                              d.exemplarFn ? d.exemplarFn()
-                                           : std::vector<MetricExemplar>{}});
-  }
+  for (const HistogramDef& d : histograms_)
+    out.histograms.push_back({d.name, d.labels, d.scale, d.fn()});
   std::stable_sort(out.histograms.begin(), out.histograms.end(),
                    [](const HistogramSample& a, const HistogramSample& b) {
                      return a.name < b.name;

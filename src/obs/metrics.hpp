@@ -53,25 +53,14 @@ struct SummarySample {
   HistogramSnapshot hist;
 };
 
-/// A Prometheus-style exemplar: one observed value paired with the trace id
-/// of the packet that produced it, attached at export time to the first
-/// histogram bucket covering the value (OpenMetrics `# {trace_id="..."} v`
-/// suffix on the `_bucket` line).
-struct MetricExemplar {
-  double value = 0.0;   ///< export units (post-scale)
-  std::string traceId;  ///< 16-hex-digit packet trace id
-};
-
 /// One histogram series rendered as a native Prometheus histogram:
 /// cumulative `_bucket{le="..."}` lines at power-of-two bounds (in export
-/// units) covering the recorded range, plus `_sum`/`_count`, with optional
-/// exemplars.
+/// units) covering the recorded range, plus `_sum`/`_count`.
 struct HistogramSample {
   std::string name;
   Labels labels;
   double scale = 1.0;
   HistogramSnapshot hist;
-  std::vector<MetricExemplar> exemplars;
 };
 
 /// The quantiles every summary exports.
@@ -113,12 +102,9 @@ class MetricsRegistry {
                   std::function<HistogramSnapshot()> fn, Labels labels = {});
 
   /// Registers a native Prometheus histogram series (cumulative buckets at
-  /// power-of-two bounds).  `exemplarFn`, when set, yields the exemplars to
-  /// attach at each snapshot (e.g. the tail-latency exemplar store records).
-  using ExemplarFn = std::function<std::vector<MetricExemplar>()>;
+  /// power-of-two bounds).
   void addHistogram(std::string name, std::string help, double scale,
-                    std::function<HistogramSnapshot()> fn,
-                    ExemplarFn exemplarFn = {}, Labels labels = {});
+                    std::function<HistogramSnapshot()> fn, Labels labels = {});
 
   /// A dynamic family: one getter yields the whole (labels, value) series
   /// set per snapshot — for key sets only known at runtime (e.g. the
@@ -161,7 +147,6 @@ class MetricsRegistry {
     Labels labels;
     double scale;
     std::function<HistogramSnapshot()> fn;
-    ExemplarFn exemplarFn;
   };
   struct FamilyDef {
     std::string name, help;

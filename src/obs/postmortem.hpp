@@ -1,18 +1,18 @@
 // Replayable postmortem bundles (`adres.postmortem.v1`, DESIGN.md §16).
 //
 // When the self-auditing runtime trips — a sentinel divergence, a watchdog
-// cancellation/budget exhaustion, or an SLO breach — the farm freezes the
-// whole incident into one atomic JSON file: the exact rx payload and modem
-// configuration needed to re-run the packet (the black box *and* the
-// flight), both decode results with their per-region counter partitions,
-// the span tree, the shadow decode's flight-recorder ring, a metrics
-// snapshot and the build identity.  `tools/postmortem_replay` re-decodes a
-// bundle standalone and confirms (or refutes) the recorded failure.
+// cancellation/budget exhaustion, or an SLO breach — a farm with capture on
+// freezes the whole incident into one atomic JSON file: the exact rx
+// payload, modem configuration and cycle budget needed to re-run the packet
+// (the black box *and* the flight), both decode results with their
+// per-region counter partitions, the span tree, the shadow decode's
+// flight-recorder ring, a metrics snapshot and the build identity.
+// `tools/postmortem_replay` re-decodes a bundle standalone and confirms (or
+// refutes) the recorded failure.
 //
-// Writes are atomic (tmp file + rename) and the store is bounded
-// (oldest-evicted), mirroring the exemplar store's contract.  64-bit values
-// that do not survive a double round-trip (trace id, fault seed) are
-// serialized as 16-hex-digit strings.
+// Writes are atomic (writeFileAtomic: tmp file + rename) and the store is
+// bounded (oldest-evicted).  64-bit values that do not survive a double
+// round-trip (trace id, fault seed) are serialized as 16-hex-digit strings.
 #pragma once
 
 #include <array>
@@ -32,6 +32,9 @@
 namespace adres::obs {
 
 struct PostmortemConfig {
+  /// The one capture switch: a farm creates its bundle store (and the
+  /// directory) only when set, and every trigger writes through that store.
+  /// Off, the farm writes no file and creates no directory.
   bool enabled = false;
   std::string dir = "postmortems";  ///< store directory (created on demand)
   std::size_t maxBundles = 16;      ///< bound on retained bundle files
@@ -69,6 +72,8 @@ struct PostmortemBundle {
   int numSymbols = 0;
   std::string execTier;    ///< primary decode's tier label
   std::string shadowTier;  ///< "" when no shadow decode was recorded
+  /// Cycle budget the recorded decodes ran under: the packet's per-job cap
+  /// when tighter than the farm's run budget.
   u64 maxCycles = 0;
   u64 faultInjectSeed = 0;  ///< RxRunOptions::faultInjectBitFlipSeed (0 = off)
   std::array<std::vector<cint16>, 2> rx;

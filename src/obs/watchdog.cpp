@@ -26,11 +26,6 @@ WorkerWatchdog::WorkerWatchdog(int numWorkers, WatchdogConfig cfg)
 
 WorkerWatchdog::~WorkerWatchdog() { stop(); }
 
-void WorkerWatchdog::setEventHook(EventHook hook) {
-  std::lock_guard<std::mutex> lk(mu_);
-  hook_ = std::move(hook);
-}
-
 void WorkerWatchdog::start() {
   if (!cfg_.enabled || cfg_.pollMs <= 0 || monitor_.joinable()) return;
   {
@@ -73,9 +68,8 @@ std::vector<HealthEvent> WorkerWatchdog::events() const {
 
 void WorkerWatchdog::emit(HealthEvent ev) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(ev);
+  events_.push_back(std::move(ev));
   eventCount_.fetch_add(1, std::memory_order_relaxed);
-  if (hook_) hook_(events_.back());
 }
 
 void WorkerWatchdog::monitorLoop() {

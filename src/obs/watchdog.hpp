@@ -16,14 +16,13 @@
 //   kBudgetExhausted  a decode ended with StopReason::kMaxCycles
 //   kCancelled        a decode ended with StopReason::kCancelled
 //
-// Events are collected under a mutex (events() copies them out) and
-// mirrored to an optional hook; eventCount() is lock-free for metrics.
+// Events are collected under a mutex (events() copies them out);
+// eventCount() is lock-free for metrics.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -85,8 +84,6 @@ const char* healthEventKindName(HealthEvent::Kind k);
 
 class WorkerWatchdog {
  public:
-  using EventHook = std::function<void(const HealthEvent&)>;
-
   /// Creates the health records; the monitor thread only starts with
   /// start() (and only when cfg.enabled && pollMs > 0).
   WorkerWatchdog(int numWorkers, WatchdogConfig cfg);
@@ -99,10 +96,6 @@ class WorkerWatchdog {
   const WorkerHealth& health(int worker) const { return *health_[static_cast<std::size_t>(worker)]; }
   int numWorkers() const { return static_cast<int>(health_.size()); }
   const WatchdogConfig& config() const { return cfg_; }
-
-  /// Mirrors every new event to `hook` (called with the event mutex held —
-  /// keep it cheap).  Set before start().
-  void setEventHook(EventHook hook);
 
   void start();
   /// Stops and joins the monitor.  Idempotent; safe without start().
@@ -136,10 +129,9 @@ class WorkerWatchdog {
   WatchdogConfig cfg_;
   std::vector<std::unique_ptr<WorkerHealth>> health_;
 
-  mutable std::mutex mu_;  ///< guards events_, hook_ and monitor wakeup
+  mutable std::mutex mu_;  ///< guards events_ and monitor wakeup
   std::condition_variable cv_;
   std::vector<HealthEvent> events_;
-  EventHook hook_;
   std::atomic<u64> eventCount_{0};
   bool stopping_ = false;
   std::thread monitor_;

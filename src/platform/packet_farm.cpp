@@ -8,14 +8,6 @@
 #include "power/energy_model.hpp"
 
 namespace adres::platform {
-namespace {
-
-/// A worker's audit call and the sentinel's bundle closure run on the same
-/// thread (the closure fires inside audit()), so the span tree of the packet
-/// under audit rides across the obs-layer boundary in a thread-local.
-thread_local const trace::PacketSpans* tlAuditSpans = nullptr;
-
-}  // namespace
 
 void FarmStats::writeJson(std::ostream& os) const {
   trace::writeCountersJson(os, counters, regions, regionNames, workers);
@@ -31,14 +23,8 @@ PacketFarm::PacketFarm(FarmConfig cfg)
   cfg_.run.progressCycles = nullptr;
   cfg_.run.cancel = nullptr;
   cfg_.run.regionLog = nullptr;  // per-worker logs are wired in workerMain
-  if (cfg_.exemplars.enabled)
-    exemplars_ = std::make_unique<obs::ExemplarStore>(cfg_.exemplars);
-  // The bundle store exists for explicit postmortem capture AND for
-  // sentinel-only setups (divergence bundles go through the same store).
-  if (cfg_.postmortem.enabled ||
-      (cfg_.sentinel.enabled && cfg_.sentinel.bundleOnDivergence)) {
+  if (cfg_.postmortem.enabled)
     postmortems_ = std::make_unique<obs::PostmortemWriter>(cfg_.postmortem);
-  }
   workerStats_.resize(static_cast<std::size_t>(cfg_.numWorkers));
   watchdog_ = std::make_unique<obs::WorkerWatchdog>(cfg_.numWorkers,
                                                     cfg_.watchdog);
@@ -53,9 +39,8 @@ PacketFarm::PacketFarm(FarmConfig cfg)
     shadowProc_ = std::make_unique<Processor>();
     sentinel_ = std::make_unique<obs::DivergenceSentinel>(
         cfg_.sentinel, cfg_.run.exec.tier,
-        [this](const std::array<std::vector<cint16>, 2>& rx,
-               std::vector<TraceEvent>* ringOut) {
-          return shadowDecode(rx, ringOut);
+        [this](const obs::DecodedPacket& p, TraceSink* trace) {
+          return shadowDecode(p, trace);
         });
     // Pay the shadow's one cold program load here rather than in the first
     // audit, which would stall its worker for it: every audit then takes
@@ -64,29 +49,20 @@ PacketFarm::PacketFarm(FarmConfig cfg)
     shadowExec_.plans = modem_->plansFor(shadowExec_.tier);
     shadowExec_.warmReload = true;
     shadowProc_->load(modem_->program, shadowExec_);
-    if (cfg_.sentinel.bundleOnDivergence && postmortems_) {
-      sentinel_->setBundleFn(
-          [this](const obs::IntegrityEvent& ev,
-                 const std::array<std::vector<cint16>, 2>& rx,
-                 const obs::DecodeSummary& primary,
-                 const obs::DecodeSummary& shadow,
-                 const std::vector<TraceEvent>& ring) {
-            obs::PostmortemBundle b = bundleSkeleton("divergence", ev.detail);
-            b.jobId = ev.jobId;
-            b.tag = ev.tag;
-            b.worker = ev.worker;
-            b.traceId = ev.traceId;
-            b.shadowTier = ev.shadowTier;
-            b.rx = rx;
-            b.primary = obs::toRecord(primary);
-            b.shadow = obs::toRecord(shadow);
-            if (tlAuditSpans) b.spans = *tlAuditSpans;
-            b.ring = ring;
-            b.ringAccepted = shadowRingAccepted_;
-            b.ringDropped = shadowRingDropped_;
-            b.ringCapacity = cfg_.sentinel.ringCapacity;
-            return postmortems_->write(b);
-          });
+    if (postmortems_) {
+      sentinel_->setBundleFn([this](const obs::IntegrityEvent& ev,
+                                    const obs::DecodedPacket& p,
+                                    const obs::DecodeSummary& shadow,
+                                    const RingBufferSink& ring) {
+        obs::PostmortemBundle b = bundleFor("divergence", ev.detail, p);
+        b.shadowTier = ev.shadowTier;
+        b.shadow = obs::toRecord(shadow);
+        b.ring = ring.events();
+        b.ringAccepted = ring.accepted();
+        b.ringDropped = ring.dropped();
+        b.ringCapacity = ring.capacity();
+        return postmortems_->write(b);
+      });
     }
   }
   watchdog_->start();
@@ -212,59 +188,47 @@ PacketFarm::SlowestPacket PacketFarm::slowestPacket() const {
   return slowest_;
 }
 
-obs::DecodeSummary PacketFarm::shadowDecode(
-    const std::array<std::vector<cint16>, 2>& rx,
-    std::vector<TraceEvent>* ringOut) {
+obs::DecodeSummary PacketFarm::shadowDecode(const obs::DecodedPacket& p,
+                                            TraceSink* trace) {
   sdr::RxRunOptions opts;
-  opts.maxCycles = cfg_.run.maxCycles;
+  opts.maxCycles = p.maxCycles;
   opts.exec = shadowExec_;
-  std::unique_ptr<RingBufferSink> ring;
-  if (ringOut) {
-    ring = std::make_unique<RingBufferSink>(cfg_.sentinel.ringCapacity);
-    opts.trace = ring.get();
-  }
+  opts.trace = trace;
   sdr::ProcessorRxResult res;
-  sdr::runModemOnProcessor(*shadowProc_, *modem_, rx, opts, res);
-  obs::DecodeSummary s = summarizeDecode(res, *shadowProc_);
-  if (ringOut) {
-    *ringOut = ring->events();
-    shadowRingAccepted_ = ring->accepted();
-    shadowRingDropped_ = ring->dropped();
-  }
-  return s;
+  sdr::runModemOnProcessor(*shadowProc_, *modem_, p.rx, opts, res);
+  return summarizeDecode(res, *shadowProc_);
 }
 
-obs::PostmortemBundle PacketFarm::bundleSkeleton(
-    const std::string& trigger, const std::string& reason) const {
+obs::PostmortemBundle PacketFarm::bundleFor(
+    const std::string& trigger, const std::string& reason,
+    const obs::DecodedPacket& p) const {
   obs::PostmortemBundle b;
   b.trigger = trigger;
   b.reason = reason;
+  b.jobId = p.jobId;
+  b.tag = p.tag;
+  b.worker = p.worker;
+  b.traceId = p.traceId;
   b.modulation = static_cast<int>(cfg_.modem.mod);
   b.numSymbols = cfg_.modem.numSymbols;
   b.execTier = execTierName(cfg_.run.exec.tier);
-  b.maxCycles = cfg_.run.maxCycles;
+  b.maxCycles = p.maxCycles;
   b.faultInjectSeed = cfg_.run.faultInjectBitFlipSeed;
+  b.rx = p.rx;
+  b.primary = obs::toRecord(p.primary);
+  b.spans = p.spans;
   return b;
 }
 
 std::string PacketFarm::capturePostmortem(const std::string& trigger,
                                           const std::string& reason) {
-  if (!postmortems_ || !cfg_.postmortem.enabled) return "";
-  SlowestPacket slow;
-  {
-    std::lock_guard<std::mutex> lk(slowMu_);
-    slow = slowest_;
-  }
+  if (!postmortems_) return "";
+  const SlowestPacket slow = slowestPacket();
   if (slow.rx[0].empty()) return "";  // no packet retained yet
-  obs::PostmortemBundle b = bundleSkeleton(trigger, reason);
-  b.jobId = slow.id;
-  b.tag = slow.tag;
-  b.worker = slow.worker;
-  b.traceId = slow.traceId;
-  b.rx = slow.rx;
-  b.primary = obs::toRecord(slow.summary);
-  b.spans = slow.spans;
-  return postmortems_->write(b);
+  return postmortems_->write(bundleFor(
+      trigger, reason,
+      {slow.id, slow.tag, slow.worker, slow.traceId, slow.maxCycles, slow.rx,
+       slow.summary, slow.spans}));
 }
 
 bool PacketFarm::ready(std::string* reason) const {
@@ -391,27 +355,9 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
   reg.addSummary("adres_farm_queue_wait_us",
                  "host submit-to-dispatch queue wait (merged across workers)",
                  1e-3 /* ns -> us */, [this] { return queueWaitSnapshot(); });
-  // Native histogram with tail exemplars: bucket lines carry the trace id of
-  // a captured slow packet (OpenMetrics `# {trace_id="..."} v` suffix).
-  reg.addHistogram(
-      "adres_farm_decode_latency_us",
-      "host decode latency histogram with tail-latency exemplars",
-      1e-3 /* ns -> us */, [this] { return latencySnapshot(); },
-      [this] {
-        std::vector<obs::MetricExemplar> out;
-        if (exemplars_) {
-          for (const obs::ExemplarRecord& r : exemplars_->records())
-            out.push_back({r.latencyUs, trace::traceIdHex(r.traceId)});
-        }
-        return out;
-      });
-  if (exemplars_) {
-    reg.addCounter("adres_farm_exemplars_captured_total",
-                   "tail-latency exemplars captured (including evicted)",
-                   [this] {
-                     return static_cast<double>(exemplars_->captured());
-                   });
-  }
+  reg.addHistogram("adres_farm_decode_latency_us",
+                   "host decode latency histogram", 1e-3 /* ns -> us */,
+                   [this] { return latencySnapshot(); });
   reg.addGauge("adres_farm_slowest_packet_id", "job id of the slowest decode",
                [this] { return static_cast<double>(slowestPacket().id); });
   reg.addGauge("adres_farm_slowest_packet_worker",
@@ -466,18 +412,10 @@ void PacketFarm::workerMain(int idx) {
     opts.progressCycles = &health.heartbeatCycles;
     opts.cancel = &health.cancel;
   }
-  // Observability attachments.  The region log and kernel profiler keep the
-  // CGA fast path; the exemplar flight recorder is a real TraceSink and is
-  // only attached when exemplar capture was requested.
-  const bool wantSpans = cfg_.spans || cfg_.exemplars.enabled;
+  // Span recording fills the region log, which (like run.profile's kernel
+  // profiler) keeps the CGA fast path.
   std::vector<RegionSpan> regionLog;
-  if (wantSpans) opts.regionLog = &regionLog;
-  opts.profile = cfg_.kernelProfile;
-  std::unique_ptr<RingBufferSink> ring;
-  if (cfg_.exemplars.enabled) {
-    ring = std::make_unique<RingBufferSink>(cfg_.exemplars.ringCapacity);
-    opts.trace = ring.get();
-  }
+  if (cfg_.spans) opts.regionLog = &regionLog;
   RxSession session(cfg_.modem, opts);
   // Session built: program fetched from the cache, plans resolved — this
   // worker can take traffic (the /readyz source).
@@ -492,7 +430,6 @@ void PacketFarm::workerMain(int idx) {
     const double dispatchUs = epochUs();
     if (cfg_.preDecodeHook) cfg_.preDecodeHook(idx, *job);
     regionLog.clear();
-    if (ring) ring->clear();
     RxOutcome out;
     out.id = job->id;
     out.worker = idx;
@@ -508,15 +445,12 @@ void PacketFarm::workerMain(int idx) {
     out.traceId = trace::packetTraceId(job->id, job->tag);
     out.queueWaitUs = std::max(0.0, dispatchUs - job->enqueueUs);
     // The rx payloads are dead once the decode's DMA has read them — UNLESS
-    // the self-auditing layer still needs them (sentinel shadow decode,
-    // failure bundle, slowest-packet retention).  The common path releases
-    // here so the producer recycle loop keeps its allocation-free timing.
-    const bool failedStop = out.result.stop != StopReason::kHalt;
+    // the self-auditing layer still needs them: the packet is audited, or the
+    // bundle store exists (failure bundle, slowest-packet retention).  The
+    // common path releases here so the producer recycle loop keeps its
+    // allocation-free timing.
     const bool auditThis = sentinel_ && sentinel_->shouldSample(out.traceId);
-    const bool retainPayload =
-        auditThis ||
-        (postmortems_ && cfg_.postmortem.enabled) ||
-        (postmortems_ && failedStop);
+    const bool retainPayload = auditThis || postmortems_ != nullptr;
     if (!retainPayload) {
       samplePool_.release(std::move(job->rx[0]));
       samplePool_.release(std::move(job->rx[1]));
@@ -530,41 +464,30 @@ void PacketFarm::workerMain(int idx) {
     tele.setCounters(session.stats().counters);
 
     trace::PacketSpans spans;
-    if (wantSpans) {
+    if (cfg_.spans) {
       spans = trace::buildPacketSpans(
           job->id, job->tag, idx, job->enqueueUs, dispatchUs, decodeStartUs,
           decodeEndUs, out.result.cycles, regionLog,
           session.modem().program.regionNames);
     }
-    if (exemplars_) {
-      exemplars_->maybeCapture(spans, ring->events(), ring->accepted(),
-                               ring->dropped(), ring->capacity(), out.hostUs,
-                               out.queueWaitUs, out.result.cycles,
-                               latencySnapshot());
-    }
     // Self-auditing: summarize the primary decode once for whichever of the
-    // sentinel audit / failure bundle / slowest-packet retention needs it.
+    // sentinel audit / failure bundle / slowest-packet retention needs it,
+    // with the budget the decode ran under (as RxSession applies it: a
+    // per-job cap only ever tightens the farm's).
+    const u64 budget = job->maxCycles != 0
+                           ? std::min(job->maxCycles, cfg_.run.maxCycles)
+                           : cfg_.run.maxCycles;
     obs::DecodeSummary primary;
-    if (retainPayload)
+    if (retainPayload) {
       primary = summarizeDecode(out.result, session.processor());
-    if (auditThis) {
-      tlAuditSpans = &spans;  // rides into the bundle closure (same thread)
-      (void)sentinel_->audit(job->id, job->tag, idx, out.traceId, job->rx,
-                             primary);
-      tlAuditSpans = nullptr;
-    }
-    if (postmortems_ && failedStop) {
-      obs::PostmortemBundle b = bundleSkeleton(
-          "watchdog", std::string("decode stopped without halting (") +
-                          primary.stop + ")");
-      b.jobId = job->id;
-      b.tag = job->tag;
-      b.worker = idx;
-      b.traceId = out.traceId;
-      b.rx = job->rx;
-      b.primary = obs::toRecord(primary);
-      b.spans = spans;
-      (void)postmortems_->write(b);
+      const obs::DecodedPacket pkt{job->id, job->tag, idx,     out.traceId,
+                                   budget,  job->rx,  primary, spans};
+      if (auditThis) (void)sentinel_->audit(pkt);
+      if (postmortems_ && out.result.stop != StopReason::kHalt) {
+        (void)postmortems_->write(bundleFor(
+            "watchdog",
+            "decode stopped without halting (" + primary.stop + ")", pkt));
+      }
     }
     {
       std::lock_guard<std::mutex> lk(slowMu_);
@@ -577,12 +500,10 @@ void PacketFarm::workerMain(int idx) {
         slowest_.queueWaitUs = out.queueWaitUs;
         slowest_.cycles = out.result.cycles;
         slowest_.spans = spans;
-        if (postmortems_ && cfg_.postmortem.enabled) {
-          slowest_.rx = job->rx;  // payload copy for capturePostmortem()
+        if (postmortems_) {  // what capturePostmortem() freezes
+          slowest_.rx = job->rx;
           slowest_.summary = primary;
-        } else {
-          slowest_.rx = {};
-          slowest_.summary = {};
+          slowest_.maxCycles = budget;
         }
       }
     }

@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/exemplar.hpp"
 #include "obs/histogram.hpp"
 #include "obs/integrity.hpp"
 #include "obs/metrics.hpp"
@@ -84,33 +83,27 @@ struct FarmConfig {
   /// farm (per-worker sinks would interleave); use stats() for aggregates.
   /// The supervision fields (progressCycles/cancel) are overwritten with
   /// the per-worker health records when the watchdog is enabled.
+  /// run.profile folds per-launch cycle attribution into FarmStats::profile.
   sdr::RxRunOptions run;
   /// Worker health supervision (stall detection, budget warnings).
   obs::WatchdogConfig watchdog;
   /// Record a span tree per packet (returned in RxOutcome::spans).  Uses the
   /// region-span log, not a TraceSink, so decodes stay on the fast path and
-  /// remain bit- and cycle-exact.
+  /// remain bit- and cycle-exact.  No farm path attaches a TraceSink to a
+  /// serving worker.
   bool spans = false;
-  /// Per-launch cycle attribution, folded into FarmStats::profile.
-  bool kernelProfile = false;
-  /// Tail-latency exemplar capture (ring buffer + span tree persisted for
-  /// packets above the configured latency quantile).  Implies span
-  /// recording; attaches a per-worker flight-recorder TraceSink, which
-  /// disables the CGA steady-state fast path — decodes stay bit- and
-  /// cycle-exact, but host throughput drops, so this is opt-in.
-  obs::ExemplarConfig exemplars;
   /// Online divergence sentinel: deterministically sampled packets are
-  /// shadow-decoded on the exec tier `run.exec.tier` does not use and
-  /// compared bit/cycle/counter-wise (DESIGN.md §16).  The shadow decoder
-  /// is farm-private and serialized, so primary decode results are
-  /// unaffected; sampled packets pay one extra (shadow-tier) decode of
-  /// host time.
+  /// shadow-decoded on the exec tier `run.exec.tier` does not use, under
+  /// the packet's own cycle budget, and compared bit/cycle/counter-wise
+  /// (DESIGN.md §16).  The shadow decoder is farm-private and serialized,
+  /// so primary decode results are unaffected; sampled packets pay one
+  /// extra (shadow-tier) decode of host time.
   obs::SentinelConfig sentinel;
-  /// Postmortem bundle capture: when enabled, the farm retains the slowest
-  /// packet's payload and writes adres.postmortem.v1 bundles on watchdog
-  /// failures (non-halt stops) and on capturePostmortem() calls (the SLO
-  /// breach hook).  Sentinel divergences write bundles through the same
-  /// store whenever it exists, i.e. also when only the sentinel is on.
+  /// Postmortem bundle capture, the one switch for bundles: when enabled,
+  /// the farm retains the slowest packet's payload and writes
+  /// adres.postmortem.v1 bundles on sentinel divergences, watchdog failures
+  /// (non-halt stops) and capturePostmortem() calls (the SLO breach hook).
+  /// Off, the farm writes no file and creates no directory.
   obs::PostmortemConfig postmortem;
   /// Test/fault-injection hook, run on the worker thread after the worker
   /// marks itself busy with the job and before the decode.  Observation
@@ -132,7 +125,7 @@ struct FarmStats {
   /// the traffic source — producer-limited when ~0, decode-limited when
   /// large; bench_farm reports it next to decode throughput).
   u64 submitBackpressureNs = 0;
-  /// Merged cycle-attribution summary (empty unless kernelProfile).
+  /// Merged cycle-attribution summary (empty unless run.profile).
   trace::ProfileSummary profile;
 
   /// adres.counters.v1 dump carrying the `workers` extension field.
@@ -188,9 +181,6 @@ class PacketFarm {
   const FarmStats& stats() const { return stats_; }
   const FarmConfig& config() const { return cfg_; }
 
-  /// The tail-latency exemplar store; null unless cfg.exemplars.enabled.
-  const obs::ExemplarStore* exemplarStore() const { return exemplars_.get(); }
-
   /// The slowest packet decoded so far (live; id() == 0 with no packets is
   /// indistinguishable from job 0 — check latencyUs > 0).
   struct SlowestPacket {
@@ -202,10 +192,12 @@ class PacketFarm {
     double queueWaitUs = 0;
     u64 cycles = 0;
     trace::PacketSpans spans;  ///< populated when span recording is on
-    /// Retained only with postmortem capture on: the payload and decode
-    /// summary needed to freeze this packet into a bundle after the fact.
+    /// Retained only with postmortem capture on: the payload, decode
+    /// summary and cycle budget needed to freeze this packet into a bundle
+    /// after the fact.
     std::array<std::vector<cint16>, 2> rx;
     obs::DecodeSummary summary;
+    u64 maxCycles = 0;
   };
   SlowestPacket slowestPacket() const;
 
@@ -220,8 +212,7 @@ class PacketFarm {
   std::vector<obs::IntegrityEvent> integrityEvents() const {
     return sentinel_ ? sentinel_->events() : std::vector<obs::IntegrityEvent>{};
   }
-  /// The bundle store; null unless postmortem capture or sentinel bundling
-  /// is active.
+  /// The bundle store; null unless cfg.postmortem.enabled.
   const obs::PostmortemWriter* postmortemWriter() const {
     return postmortems_.get();
   }
@@ -298,11 +289,12 @@ class PacketFarm {
   void workerMain(int idx);
   /// The sentinel's ShadowDecodeFn target: one serialized decode on the
   /// sentinel's shadow tier (callers hold the sentinel lock).
-  obs::DecodeSummary shadowDecode(const std::array<std::vector<cint16>, 2>& rx,
-                                  std::vector<TraceEvent>* ringOut);
-  /// Builds the non-payload bundle skeleton shared by every trigger path.
-  obs::PostmortemBundle bundleSkeleton(const std::string& trigger,
-                                       const std::string& reason) const;
+  obs::DecodeSummary shadowDecode(const obs::DecodedPacket& p,
+                                  TraceSink* trace);
+  /// The bundle of one packet, shared by every trigger path.
+  obs::PostmortemBundle bundleFor(const std::string& trigger,
+                                  const std::string& reason,
+                                  const obs::DecodedPacket& p) const;
 
   FarmConfig cfg_;
   BoundedQueue<RxJob> queue_;
@@ -312,21 +304,17 @@ class PacketFarm {
   BufferPool<cint16> samplePool_;
   BufferPool<u8> bitPool_;
   std::unique_ptr<obs::WorkerWatchdog> watchdog_;
-  std::unique_ptr<obs::ExemplarStore> exemplars_;
   std::unique_ptr<obs::PostmortemWriter> postmortems_;
   /// The shared mapped program: region names for stats(), and the program
   /// the shadow decoder runs.
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
   /// Held-back shadow decoder (farm-private; calls serialized by the
-  /// sentinel).  The ring stats of the last divergence re-decode are stashed
-  /// here for the bundle closure — both run under the sentinel's lock.
+  /// sentinel).
   std::unique_ptr<Processor> shadowProc_;
   /// The shadow decoder's policy: the held-back tier's shared plans, warm
   /// reload armed (the constructor pays the one cold load).
   ExecPolicy shadowExec_;
   std::unique_ptr<obs::DivergenceSentinel> sentinel_;
-  u64 shadowRingAccepted_ = 0;
-  u64 shadowRingDropped_ = 0;
   std::atomic<int> workersReady_{0};  ///< workers whose session is built
   std::vector<std::unique_ptr<WorkerTelemetry>> telemetry_;
   std::vector<std::thread> threads_;

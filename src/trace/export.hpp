@@ -45,11 +45,11 @@ void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
 /// {"cycle":N,"dur":N,"kind":"...","track":N,"a":N,"b":N}
 void writeJsonl(const std::vector<TraceEvent>& events, std::ostream& os);
 
-// -- Shared artifact-harvest fragments --------------------------------------
-// The span-array and flight-recorder-ring JSON bodies are shared verbatim
-// between adres.exemplar.v1 and adres.postmortem.v1: one object per line at
-// `indent` spaces, emitted between the caller's '[' and ']' (a leading
-// newline before the first entry, nothing after the last).
+// -- Artifact-harvest fragments ---------------------------------------------
+// The span-array and flight-recorder-ring JSON bodies of adres.postmortem.v1
+// bundles: one object per line at `indent` spaces, emitted between the
+// caller's '[' and ']' (a leading newline before the first entry, nothing
+// after the last).
 
 /// {"kind": "...", "name": "...", "start_us": .., "dur_us": ..,
 ///  "start_cycle": N, "cycles": N, "ops": N}

@@ -75,8 +75,8 @@ TEST(TimingGolden, ModemRunMatchesFixtureNative) {
   expectModemMatchesFixture(collectModemGolden(ExecTier::kNative));
 }
 
-// The traced path feeds Chrome traces, exemplar rings and postmortem bundle
-// rings; every tier must emit the identical event stream.
+// The traced path feeds Chrome traces and postmortem bundle rings; every
+// tier must emit the identical event stream.
 TEST(TimingGolden, TracedModemStreamMatchesFixtureOnEveryTier) {
   for (int t = 0; t < kExecTierCount; ++t) {
     const ExecTier tier = static_cast<ExecTier>(t);

@@ -1,5 +1,5 @@
 // DivergenceSentinel: deterministic sampling math, decode comparison across
-// every audited dimension, event bookkeeping and the bundle/event hooks.
+// every audited dimension, event bookkeeping and the bundle hook.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -142,39 +142,42 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   SentinelConfig cfg;
   cfg.enabled = true;
   cfg.sampleRate = 1.0;
-  // Shadow decoder: always returns the clean summary.
-  DivergenceSentinel sentinel(
-      cfg, ExecTier::kNative,
-      [](const std::array<std::vector<cint16>, 2>&, std::vector<TraceEvent>*) {
-        return summary();
-      });
-  int hookCalls = 0;
-  sentinel.setEventHook([&](const IntegrityEvent& ev) {
-    ++hookCalls;
-    EXPECT_EQ(ev.bundlePath, "bundles/b0.json");
-  });
+  // Shadow decoder: always returns the clean summary, and records the budget
+  // it was asked to decode under and whether a recorder rode along.
+  std::vector<u64> shadowBudgets;
+  int tracedShadows = 0;
+  DivergenceSentinel sentinel(cfg, ExecTier::kNative,
+                              [&](const DecodedPacket& p, TraceSink* trace) {
+                                shadowBudgets.push_back(p.maxCycles);
+                                if (trace) ++tracedShadows;
+                                return summary();
+                              });
   int bundleCalls = 0;
-  sentinel.setBundleFn([&](const IntegrityEvent&,
-                           const std::array<std::vector<cint16>, 2>&,
-                           const DecodeSummary& primary,
+  sentinel.setBundleFn([&](const IntegrityEvent&, const DecodedPacket& p,
                            const DecodeSummary& shadow,
-                           const std::vector<TraceEvent>&) {
+                           const RingBufferSink& ring) {
     ++bundleCalls;
-    EXPECT_NE(primary.bits, shadow.bits);
+    EXPECT_NE(p.primary.bits, shadow.bits);
+    EXPECT_EQ(p.spans.jobId, 7u) << "the audited packet's span tree";
+    EXPECT_EQ(ring.capacity(), 4096u);
     return std::string("bundles/b0.json");
   });
 
   const std::array<std::vector<cint16>, 2> rx{};  // stub decoder ignores it
+  trace::PacketSpans spans;
+  spans.jobId = 7;
   // Matching primary: no event.
-  EXPECT_FALSE(sentinel.audit(1, 0, 0, 11, rx, summary()).has_value());
+  const DecodeSummary clean = summary();
+  EXPECT_FALSE(
+      sentinel.audit({1, 0, 0, 11, 20000, rx, clean, spans}).has_value());
   EXPECT_EQ(sentinel.sampled(), 1u);
   EXPECT_EQ(sentinel.divergences(), 0u);
   EXPECT_EQ(bundleCalls, 0);
 
-  // Corrupted primary: event with identity fields + bundle + hook.
+  // Corrupted primary: event with identity fields + bundle.
   DecodeSummary bad = summary();
   bad.bits[3] ^= 1;
-  const auto ev = sentinel.audit(7, 42, 2, 1234, rx, bad);
+  const auto ev = sentinel.audit({7, 42, 2, 1234, 30000, rx, bad, spans});
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->jobId, 7u);
   EXPECT_EQ(ev->tag, 42u);
@@ -185,9 +188,16 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   EXPECT_EQ(sentinel.sampled(), 2u);
   EXPECT_EQ(sentinel.divergences(), 1u);
   EXPECT_EQ(bundleCalls, 1);
-  EXPECT_EQ(hookCalls, 1);
-  ASSERT_EQ(sentinel.events().size(), 1u);
-  EXPECT_EQ(sentinel.events()[0].kind, IntegrityEvent::Kind::kBits);
+  // Every shadow decode runs under its packet's budget; only the divergence
+  // re-decode carries a flight recorder.
+  EXPECT_EQ(shadowBudgets, (std::vector<u64>{20000, 30000, 30000}));
+  EXPECT_EQ(tracedShadows, 1);
+  // events() records each divergence as audit() returned it.
+  const std::vector<IntegrityEvent> events = sentinel.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, IntegrityEvent::Kind::kBits);
+  EXPECT_EQ(events[0].jobId, 7u);
+  EXPECT_EQ(events[0].bundlePath, "bundles/b0.json");
 }
 
 // The shadow is derived, never configured: a same-tier shadow would audit

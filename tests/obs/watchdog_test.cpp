@@ -2,7 +2,10 @@
 // decode-end classification (StopReason -> HealthEvent), and the farm-level
 // acceptance scenario — a deliberately wedged worker is detected, cancelled
 // and reported as a structured event while the farm still completes (no
-// silent hang).  TSan covers the monitor/worker interplay here.
+// silent hang).  The unit tests drive the poll step on synthetic time, so
+// they neither sleep nor depend on host scheduling; the farm-level test
+// keeps the real monitor thread, whose interplay with the worker TSan
+// covers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,46 +34,43 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// Polls `pred` every ms until it holds or `ms` elapses.
-bool eventually(int ms, const std::function<bool()>& pred) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(1ms);
+/// Polls `n` times, one 2 ms monitor period of synthetic time apart.
+void pollTimes(WatchdogTestPeer& peer,
+               std::chrono::steady_clock::time_point& now, int n) {
+  for (int i = 0; i < n; ++i) {
+    now += 2ms;
+    peer.pollAt(now);
   }
-  return pred();
 }
 
 TEST(Watchdog, IdleWorkersAreNeverStalled) {
   WatchdogConfig cfg;
-  cfg.pollMs = 2;
   cfg.stallTimeoutMs = 10;
   WorkerWatchdog wd(2, cfg);
-  wd.start();
-  std::this_thread::sleep_for(60ms);
-  wd.stop();
+  WatchdogTestPeer peer(wd);
+  std::chrono::steady_clock::time_point now{};
+  pollTimes(peer, now, 30);  // 60 ms: six stall timeouts
   EXPECT_EQ(wd.eventCount(), 0u);
 }
 
 TEST(Watchdog, DetectsStallAndCancelsWhenConfigured) {
   WatchdogConfig cfg;
-  cfg.pollMs = 2;
   cfg.stallTimeoutMs = 20;
   cfg.cancelStalled = true;
   WorkerWatchdog wd(2, cfg);
-  wd.start();
+  WatchdogTestPeer peer(wd);
+  std::chrono::steady_clock::time_point now{};
 
-  // Worker 0 goes busy and its heartbeat never advances.
+  // Worker 0 goes busy and its heartbeat never advances.  The first poll
+  // starts the job's progress clock; ten more reach the timeout.
   wd.health(0).beginJob(7);
-  ASSERT_TRUE(eventually(2000, [&] { return wd.eventCount() > 0; }))
-      << "stall must be detected within the timeout";
-  ASSERT_TRUE(eventually(2000, [&] {
-    return wd.health(0).cancel.load() != 0;
-  })) << "cancelStalled must set the worker's cancel flag";
+  pollTimes(peer, now, 11);
+  ASSERT_EQ(wd.eventCount(), 1u) << "stall must be detected within the timeout";
+  ASSERT_NE(wd.health(0).cancel.load(), 0u)
+      << "cancelStalled must set the worker's cancel flag";
 
   const std::vector<HealthEvent> evs = wd.events();
-  ASSERT_GE(evs.size(), 1u);
+  ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].kind, HealthEvent::Kind::kStalled);
   EXPECT_EQ(evs[0].worker, 0);
   EXPECT_EQ(evs[0].jobId, 7u);
@@ -79,11 +79,9 @@ TEST(Watchdog, DetectsStallAndCancelsWhenConfigured) {
   EXPECT_EQ(wd.health(1).cancel.load(), 0u) << "only the stalled worker";
 
   // A stall is reported once, not once per poll.
-  const u64 after = wd.eventCount();
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(wd.eventCount(), after);
+  pollTimes(peer, now, 25);
+  EXPECT_EQ(wd.eventCount(), 1u);
   wd.health(0).endJob();
-  wd.stop();
 }
 
 TEST(Watchdog, AdvancingHeartbeatIsNotAStall) {
@@ -133,28 +131,24 @@ TEST(Watchdog, FrozenHeartbeatStallsOncePastTheTimeout) {
 
 TEST(Watchdog, SoftBudgetWarnsOncePerJob) {
   WatchdogConfig cfg;
-  cfg.pollMs = 2;
   cfg.stallTimeoutMs = 0;  // stall detection off
   cfg.softBudgetCycles = 500;
   WorkerWatchdog wd(1, cfg);
-  std::atomic<int> hookCalls{0};
-  wd.setEventHook([&](const HealthEvent& ev) {
-    EXPECT_EQ(ev.kind, HealthEvent::Kind::kOverBudget);
-    hookCalls.fetch_add(1);
-  });
-  wd.start();
+  WatchdogTestPeer peer(wd);
+  std::chrono::steady_clock::time_point now{};
   wd.health(0).beginJob(3);
   wd.health(0).heartbeatCycles.store(501);
-  ASSERT_TRUE(eventually(2000, [&] { return wd.eventCount() == 1; }));
+  pollTimes(peer, now, 1);
+  ASSERT_EQ(wd.eventCount(), 1u);
   wd.health(0).heartbeatCycles.store(5000);  // still the same job: no repeat
-  std::this_thread::sleep_for(30ms);
+  pollTimes(peer, now, 15);
   EXPECT_EQ(wd.eventCount(), 1u);
-  EXPECT_EQ(hookCalls.load(), 1);
-  const HealthEvent ev = wd.events()[0];
-  EXPECT_EQ(ev.jobId, 3u);
-  EXPECT_GT(ev.cycles, cfg.softBudgetCycles);
+  const std::vector<HealthEvent> evs = wd.events();
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].kind, HealthEvent::Kind::kOverBudget);
+  EXPECT_EQ(evs[0].jobId, 3u);
+  EXPECT_GT(evs[0].cycles, cfg.softBudgetCycles);
   wd.health(0).endJob();
-  wd.stop();
 }
 
 TEST(Watchdog, NoteDecodeEndClassifiesStopReasons) {

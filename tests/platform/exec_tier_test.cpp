@@ -46,7 +46,7 @@ TierRun runFarmAt(ExecTier tier,
   fc.modem = smallConfig();
   fc.numWorkers = 2;
   fc.ordered = true;
-  fc.kernelProfile = true;
+  fc.run.profile = true;
   fc.run.exec.tier = tier;
   PacketFarm farm(fc);
   for (const auto& rx : waves) (void)farm.submit(rx);
@@ -84,8 +84,9 @@ TEST(ExecTierFarm, AllTiersAreBitAndCycleExact) {
   EXPECT_EQ(ref.stats.counters, native.stats.counters);
   EXPECT_EQ(ref.stats.regions, native.stats.regions);
   // The adres.profile.v1 cycle-attribution partition — per-region and
-  // per-(region, kernel) issue/idle/stall/overhead splits — is identical
-  // down to the serialized document.
+  // per-(region, kernel) issue/idle/stall/overhead splits — is filled by
+  // run.profile and identical down to the serialized document.
+  EXPECT_EQ(ref.stats.profile.runs, static_cast<u64>(waves.size()));
   EXPECT_EQ(ref.profileJson, native.profileJson);
 }
 

@@ -2,8 +2,9 @@
 // be caught by the divergence sentinel (structured IntegrityEvent + a
 // replayable adres.postmortem.v1 bundle whose divergence CONFIRMs under
 // standalone re-execution), a clean farm at 100% sampling must audit every
-// packet with zero divergences, and the readiness / capture / metrics
-// surfaces must behave.
+// packet with zero divergences — also when a per-job cycle budget stops the
+// decode — a farm with capture off must write nothing, and the readiness /
+// capture / metrics surfaces must behave.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -57,7 +58,6 @@ TEST(SentinelFarm, CleanTrafficAtFullSamplingShowsZeroDivergences) {
   fc.ordered = true;
   fc.sentinel.enabled = true;
   fc.sentinel.sampleRate = 1.0;
-  fc.sentinel.bundleOnDivergence = false;
   PacketFarm farm(fc);
 
   constexpr int kPackets = 4;
@@ -95,7 +95,7 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   fc.run.faultInjectBitFlipSeed = 0xBADC0DEull;  // corrupt the primary path
   fc.sentinel.enabled = true;
   fc.sentinel.sampleRate = 1.0;
-  fc.sentinel.bundleOnDivergence = true;
+  fc.postmortem.enabled = true;
   fc.postmortem.dir = dir;
   PacketFarm farm(fc);
 
@@ -141,6 +141,111 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   EXPECT_TRUE(rep.faultReproducesPrimary);
   EXPECT_TRUE(rep.consistent) << rep.verdict;
   EXPECT_NE(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
+}
+
+TEST(SentinelFarm, CaptureOffWritesNoFileAndNoDirectory) {
+  // postmortem.enabled is the one bundle switch: with it off, a sentinel
+  // farm reports divergences as events only, and neither a divergence nor a
+  // budget stop writes a file or creates the store directory.
+  const dsp::ModemConfig cfg = smallConfig();
+  const std::string dir = freshDir("adres_sentinel_capture_off");
+
+  FarmConfig fc;
+  fc.modem = cfg;
+  fc.numWorkers = 2;
+  fc.queueCapacity = 4;
+  fc.ordered = true;
+  fc.run.faultInjectBitFlipSeed = 0xBADC0DEull;  // corrupt the primary path
+  fc.sentinel.enabled = true;
+  fc.sentinel.sampleRate = 1.0;
+  fc.postmortem.dir = dir;
+  PacketFarm farm(fc);
+
+  constexpr int kPackets = 3;
+  for (int i = 0; i < kPackets; ++i) {
+    RxJob job;
+    job.id = static_cast<u64>(i);
+    job.rx = makePacket(cfg, i).first;
+    if (i == 1) job.maxCycles = 1000;  // stops long before any payload bit
+    farm.submit(std::move(job));
+  }
+  const std::vector<RxOutcome> outs = farm.finish();
+  ASSERT_EQ(outs.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_EQ(outs[1].result.stop, StopReason::kMaxCycles);
+
+  const std::vector<obs::IntegrityEvent> events = farm.integrityEvents();
+  ASSERT_EQ(events.size(), 2u) << "the two fault-seeded full decodes";
+  for (const obs::IntegrityEvent& ev : events) {
+    EXPECT_NE(ev.jobId, 1u) << "the capped decode stops alike on both tiers";
+    EXPECT_TRUE(ev.bundlePath.empty()) << ev.bundlePath;
+  }
+  EXPECT_EQ(farm.postmortemWriter(), nullptr);
+  EXPECT_EQ(farm.capturePostmortem("slo_breach", "capture off"), "");
+  EXPECT_FALSE(fs::exists(dir)) << "no store directory with capture off";
+}
+
+TEST(SentinelFarm, BudgetCappedCleanDecodeIsNotADivergence) {
+  // A per-job budget (RxJob::maxCycles, set on every cell job) stops the
+  // primary decode early; the shadow decodes under the same budget, so a
+  // clean packet stopped at max_cycles is no divergence.
+  const dsp::ModemConfig cfg = smallConfig();
+  FarmConfig fc;
+  fc.modem = cfg;
+  fc.numWorkers = 1;
+  fc.sentinel.enabled = true;
+  fc.sentinel.sampleRate = 1.0;
+  PacketFarm farm(fc);
+
+  RxJob job;
+  job.rx = makePacket(cfg, 0).first;
+  job.maxCycles = 20000;
+  farm.submit(std::move(job));
+  const std::vector<RxOutcome> outs = farm.finish();
+
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0].result.stop, StopReason::kMaxCycles);
+  ASSERT_NE(farm.sentinel(), nullptr);
+  EXPECT_EQ(farm.sentinel()->sampled(), 1u);
+  EXPECT_EQ(farm.divergences(), 0u);
+  EXPECT_TRUE(farm.integrityEvents().empty());
+}
+
+TEST(SentinelFarm, BudgetCappedDecodeBundlesReplayConsistently) {
+  // With capture on, the budget stop writes a watchdog bundle, and an SLO
+  // capture freezes the same (slowest) packet: both record the per-job
+  // budget, so a standalone replay stops where the farm's decode did.
+  const dsp::ModemConfig cfg = smallConfig();
+  const std::string dir = freshDir("adres_sentinel_budget");
+
+  FarmConfig fc;
+  fc.modem = cfg;
+  fc.numWorkers = 1;
+  fc.sentinel.enabled = true;
+  fc.sentinel.sampleRate = 1.0;
+  fc.postmortem.enabled = true;
+  fc.postmortem.dir = dir;
+  PacketFarm farm(fc);
+
+  RxJob job;
+  job.rx = makePacket(cfg, 0).first;
+  job.maxCycles = 20000;
+  farm.submit(std::move(job));
+  (void)farm.finish();
+  EXPECT_EQ(farm.divergences(), 0u);
+
+  ASSERT_NE(farm.postmortemWriter(), nullptr);
+  const std::vector<std::string> paths = farm.postmortemWriter()->paths();
+  ASSERT_EQ(paths.size(), 1u) << "one watchdog bundle, no divergence bundle";
+  const std::string slo = farm.capturePostmortem("slo_breach", "budget");
+  ASSERT_FALSE(slo.empty());
+  for (const std::string& path : {paths[0], slo}) {
+    const obs::PostmortemBundle b = obs::loadPostmortemBundle(path);
+    EXPECT_EQ(b.maxCycles, 20000u) << b.trigger;
+    EXPECT_EQ(b.primary.stop, "max_cycles") << b.trigger;
+    const ReplayReport rep = replayPostmortem(b);
+    EXPECT_TRUE(rep.matchesPrimary) << b.trigger;
+    EXPECT_TRUE(rep.consistent) << b.trigger << ": " << rep.verdict;
+  }
 }
 
 TEST(SentinelFarm, SloBreachCaptureFreezesTheSlowestPacket) {
@@ -199,7 +304,6 @@ TEST(SentinelFarm, ExportsSentinelSeriesOnTheRegistry) {
   fc.numWorkers = 1;
   fc.sentinel.enabled = true;
   fc.sentinel.sampleRate = 1.0;
-  fc.sentinel.bundleOnDivergence = false;
   PacketFarm farm(fc);
   obs::MetricsRegistry reg;
   farm.registerMetrics(reg);

@@ -203,7 +203,7 @@ class HashingTraceSink final : public TraceSink {
 };
 
 /// The Table 2 modem run with a trace sink attached: the event stream that
-/// Chrome traces, exemplar rings and postmortem bundle rings are built from.
+/// Chrome traces and postmortem bundle rings are built from.
 inline TraceGolden collectTraceGolden(ExecTier tier = defaultExecTier()) {
   const TableTwoScenario s = tableTwoScenario();
   Processor proc;

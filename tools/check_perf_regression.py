@@ -19,6 +19,14 @@ flags cases that fall more than THRESHOLD (25%) below it: a uniform slowdown
 passes, a lopsided one (one kernel, the VLIW glue or the farm path got
 slower relative to the rest) fails.
 
+The gate also pins what the simulator computes.  perfbench prints a
+"sim:" fingerprint, a hash of every simulated result of one cycle of
+distinct rounds; for a seed it is the same traced or untraced and at any
+run length.  The modem value of every run above, plus that of one
+SIM_SECONDS run each of SIM_WORKLOADS, must equal the value committed in
+the "sim" section of BENCH_perfbench.json, beside "gate".  A mismatch fails
+the gate, naming the workload and both values.
+
 Usage:
   tools/check_perf_regression.py [--save cur.json]   # run and gate
   tools/check_perf_regression.py --current cur.json  # gate saved results
@@ -26,10 +34,11 @@ Usage:
 
 --record takes each case's best over RECORD_RUNS = 3 x RUNS traced and
 untraced runs, so the baseline is not one slow best-of-RUNS draw, and
-rewrites only the "gate" section of BENCH_perfbench.json; its "history"
-array (per-change perfbench medians) is left as it is.
+rewrites the "gate" and "sim" sections of BENCH_perfbench.json; its
+"history" array (per-change perfbench medians) is left as it is.
 
-Exit code 0 = no regression, 1 = regression, 2 = bad input or failed run.
+Exit code 0 = no regression, 1 = regression or changed simulated output,
+2 = bad input or failed run.
 """
 import argparse
 import json
@@ -54,6 +63,8 @@ KERNELS = ["acorr", "cfo", "fshift", "xcorr", "bitrev"] + \
 TRACED = ["cga.%s.ns_per_cycle" % k for k in KERNELS] + ["sdr.rx_ns_per_cycle"]
 UNTRACED = ["packets_per_s"]
 CASES = TRACED + UNTRACED
+SIM_WORKLOADS = ["campaign_qam64_waterfall", "cell_qam16_overload"]
+SIM_SECONDS = 0.1
 
 
 def speed(case, value):
@@ -64,7 +75,7 @@ def speed(case, value):
 def run_perfbench(checkout, workload, seconds, trace, env=None):
     """One perfbench run (seed SEED) of `checkout`, in subprocess
     environment `env` (default: this one); returns its metrics as
-    {name: value}."""
+    {name: value} and its sim fingerprint."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -77,15 +88,22 @@ def run_perfbench(checkout, workload, seconds, trace, env=None):
     doc = json.loads(lines[-1])
     if not doc.get("correct"):
         raise RuntimeError("%s failed its checks" % what)
-    return {k: float(v["value"]) for k, v in doc["metrics"].items()}
+    sims = [l.split(": ", 1)[1] for l in lines if l.startswith("sim: ")]
+    if len(sims) != 1:
+        raise RuntimeError("%s printed %d sim fingerprints" % (what, len(sims)))
+    return {k: float(v["value"]) for k, v in doc["metrics"].items()}, sims[0]
 
 
 def measure(runs):
-    """Best of `runs` traced and `runs` untraced runs, alternating."""
+    """Best of `runs` traced and `runs` untraced runs, alternating, and the
+    distinct sim fingerprints seen per workload (every modem run, plus one
+    SIM_SECONDS run of each of SIM_WORKLOADS)."""
     best = {}
+    sims = {w: set() for w in [WORKLOAD] + SIM_WORKLOADS}
     for i in range(runs):
         for trace in ((1, 0) if i % 2 == 0 else (0, 1)):
-            metrics = run_perfbench(ROOT, WORKLOAD, SECONDS, trace)
+            metrics, sim = run_perfbench(ROOT, WORKLOAD, SECONDS, trace)
+            sims[WORKLOAD].add(sim)
             for case in (TRACED if trace else UNTRACED):
                 v = metrics[case]
                 if v <= 0:
@@ -94,7 +112,10 @@ def measure(runs):
                     best[case] = v
             print("perf gate: run %d/%d (trace %d) done"
                   % (i + 1, runs, trace), flush=True)
-    return best
+    for w in SIM_WORKLOADS:
+        sims[w].add(run_perfbench(ROOT, w, SIM_SECONDS, 0)[1])
+        print("perf gate: %s sim run done" % w, flush=True)
+    return best, {w: sorted(v) for w, v in sims.items()}
 
 
 def host():
@@ -138,6 +159,19 @@ def gate(base, cur):
     return failed
 
 
+def sim_mismatches(committed, seen):
+    """Prints the fingerprint check; returns one line per mismatch."""
+    bad = []
+    for w in [WORKLOAD] + SIM_WORKLOADS:
+        for fp in seen[w]:
+            if fp != committed[w]:
+                bad.append("%s: committed %s, got %s" % (w, committed[w], fp))
+        print("  sim %-26s committed %s  %s" % (
+            w, committed[w], "OK" if seen[w] == [committed[w]] else
+            "MISMATCH (got %s)" % ", ".join(seen[w])))
+    return bad
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline",
@@ -155,9 +189,9 @@ def main():
         if args.current:
             with open(args.current) as f:
                 saved = json.load(f)
-            cur, runs = saved["cases"], saved["runs"]
+            cur, runs, sims = saved["cases"], saved["runs"], saved["sim"]
         else:
-            cur = measure(runs)
+            cur, sims = measure(runs)
         measured = {
             "workload": WORKLOAD, "seed": SEED, "seconds": SECONDS,
             "runs": runs, "host": host(),
@@ -165,15 +199,20 @@ def main():
         }
         if args.save:
             with open(args.save, "w") as f:
-                json.dump(measured, f, indent=1)
+                json.dump(dict(measured, sim=sims), f, indent=1)
                 f.write("\n")
         if args.record:
-            doc = {"schema": "adres.bench_perfbench.v1", "gate": {},
-                   "history": []}
+            split = [w for w, fps in sims.items() if len(fps) != 1]
+            if split:
+                raise RuntimeError("runs disagree on the sim fingerprint of "
+                                   + ", ".join(split))
+            history = []
             if os.path.exists(args.baseline):
                 with open(args.baseline) as f:
-                    doc = json.load(f)
-            doc["gate"] = measured
+                    history = json.load(f)["history"]
+            doc = {"schema": "adres.bench_perfbench.v1", "gate": measured,
+                   "sim": {w: fps[0] for w, fps in sims.items()},
+                   "history": history}
             with open(args.baseline, "w") as f:
                 json.dump(doc, f, indent=1)
                 f.write("\n")
@@ -185,6 +224,7 @@ def main():
             raise ValueError("%s: unsupported schema %r"
                              % (args.baseline, doc.get("schema")))
         failed = gate(doc["gate"]["cases"], cur)
+        mismatched = sim_mismatches(doc["sim"], sims)
     except (OSError, ValueError, KeyError, RuntimeError) as e:
         print("perf gate: bad input: %s" % e, file=sys.stderr)
         return 2
@@ -193,6 +233,10 @@ def main():
         print("perf gate: FAIL — %d case(s) regressed more than %.0f%%: %s"
               % (len(failed), THRESHOLD * 100, ", ".join(failed)),
               file=sys.stderr)
+    if mismatched:
+        print("perf gate: FAIL — simulated output changed: %s"
+              % "; ".join(mismatched), file=sys.stderr)
+    if failed or mismatched:
         return 1
     print("perf gate: PASS")
     return 0

@@ -54,7 +54,7 @@ def main():
                              else ("change", "parent")):
                     checkout = parent if side == "parent" else ROOT
                     runs[side].append(run_perfbench(
-                        checkout, w, spec["run_seconds"], 0, env))
+                        checkout, w, spec["run_seconds"], 0, env)[0])
                 print("history: %s pair %d/%d done" % (w, i + 1, PAIRS),
                       flush=True)
             rows = {}
