@@ -7,8 +7,8 @@
 //
 //   $ ./bench_farm [numPackets] [numSymbols] [maxWorkers] [jsonPath] \
 //         [--exec-tier TIER] [--live-metrics PORT] [--linger-ms N] \
-//         [--metrics-json PATH] [--sentinel RATE] [--slo SPECS] \
-//         [--postmortem-dir DIR] [--sentinel-overhead-max-pct PCT]
+//         [--sentinel RATE] [--slo SPECS] [--postmortem-dir DIR] \
+//         [--sentinel-overhead-max-pct PCT]
 //
 // jsonPath defaults to BENCH_farm.json; pass "-" to skip the dump.  With
 // --live-metrics the bench embeds a MetricsServer: while the sweep runs,
@@ -19,9 +19,9 @@
 //
 // Self-auditing (DESIGN.md §16): --sentinel enables the divergence sentinel
 // at the given sample rate, shadow-decoding on the tier --exec-tier does not
-// use (any divergence makes the bench exit 2); --slo
-// evaluates an SLO spec list against the live registry (served on /slo with
-// --live-metrics; a breach captures a postmortem bundle when
+// use (any divergence makes the bench exit 2); --slo evaluates an SLO spec
+// list against the live registry (its adres_slo_* gauges are served on
+// /metrics with --live-metrics; a breach captures a postmortem bundle when
 // --postmortem-dir is set).  --sentinel-overhead-max-pct runs
 // bench::kOverheadPairs alternating without/with-sentinel pairs at the
 // largest worker count and fails (exit 1) when the median per-pair overhead
@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
   std::string jsonPath = "BENCH_farm.json";
   int metricsPort = -1;
   int lingerMs = 0;
-  std::string metricsJsonPath;
   double sentinelRate = -1.0;  // <0 = sentinel off
   std::string sloSpecsText;
   std::string postmortemDir;
@@ -84,12 +83,9 @@ int main(int argc, char** argv) {
                   &maxWorkers);
   args.positional("jsonPath", "BENCH_farm.json path ('-' = skip)", &jsonPath);
   args.flag("live-metrics", "PORT",
-            "serve Prometheus /metrics + /metrics.json on PORT (0=ephemeral)",
-            &metricsPort);
+            "serve Prometheus /metrics on PORT (0=ephemeral)", &metricsPort);
   args.flag("linger-ms", "MS", "keep serving metrics MS ms after the sweep",
             &lingerMs);
-  args.flag("metrics-json", "PATH", "write the final adres.metrics.v1 snapshot",
-            &metricsJsonPath);
   args.flag("sentinel", "RATE",
             "divergence-sentinel sample rate in [0,1] (1 audits everything; "
             "the shadow runs on the other exec tier)",
@@ -134,8 +130,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::MetricsServer> server;
   if (metricsPort >= 0) {
     server = std::make_unique<obs::MetricsServer>(metrics, metricsPort);
-    printf("live metrics: http://127.0.0.1:%d/metrics (and /metrics.json)\n",
-           server->port());
+    printf("live metrics: http://127.0.0.1:%d/metrics\n", server->port());
   }
 
   // Traffic: packets through a 2-tap channel, varied seeds, golden bits kept.
@@ -191,10 +186,7 @@ int main(int argc, char** argv) {
   for (const int w : sweep) {
     // Swap the scrape target: clear() is the teardown barrier for the
     // getters capturing the previous farm and SLO engine.
-    if (server) {
-      server->setSloEngine(nullptr);
-      server->setReadiness({});
-    }
+    if (server) server->setReadiness({});
     metrics.clear();
     slo.reset();
     farm = std::make_unique<platform::PacketFarm>(farmConfigFor(w, sentinelRate));
@@ -215,7 +207,6 @@ int main(int argc, char** argv) {
     if (server) {
       server->setReadiness(
           [&farm](std::string* reason) { return farm->ready(reason); });
-      if (slo) server->setSloEngine(slo.get());
     }
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -318,12 +309,6 @@ int main(int argc, char** argv) {
              ev.detail.c_str());
   }
 
-  if (!metricsJsonPath.empty()) {
-    std::ofstream os(metricsJsonPath);
-    metrics.writeJson(os);
-    printf("wrote %s\n", metricsJsonPath.c_str());
-  }
-
   if (jsonPath != "-") {
     std::ofstream os(jsonPath);
     os << "{\n  \"schema\": \"adres.bench_farm.v1\",\n"
@@ -391,7 +376,6 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(lingerMs));
   }
   if (server) {
-    server->setSloEngine(nullptr);
     server->setReadiness({});
     server->stop();
     printf("metrics server: %llu scrapes\n",

@@ -2,7 +2,7 @@
 // MIMO-OFDM modem running on the simulated processor, plus the preamble /
 // data-phase totals and the real-time analysis of §4.
 //
-//   $ ./bench_table2_profiling [countersJsonPath] [--profile-json PATH]
+//   $ ./bench_table2_profiling [countersPath] [--profile-json PATH]
 //         [--profile-folded PATH] [--overhead-max-pct PCT]
 //
 // When a path is given, the run's adres.counters.v1 dump is written there.
@@ -25,6 +25,7 @@
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
 #include "trace/profile.hpp"
+#include "trace/telemetry.hpp"
 
 using namespace adres;
 using namespace adres::sdr;
@@ -65,14 +66,14 @@ const std::vector<PaperRow> kPaper = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string countersJsonPath;
+  std::string countersPath;
   std::string profileJsonPath;
   std::string profileFoldedPath;
   double overheadMaxPct = -1.0;
   bench::Args args("bench_table2_profiling",
                    "Table 2 profile of the modem on the simulated processor");
-  args.positional("countersJsonPath", "write the adres.counters.v1 dump here",
-                  &countersJsonPath);
+  args.positional("countersPath", "write the adres.counters.v1 dump here",
+                  &countersPath);
   args.flag("profile-json", "PATH",
             "write adres.profile.v1 of the traced decodes", &profileJsonPath);
   args.flag("profile-folded", "PATH", "write flamegraph folded stacks",
@@ -96,9 +97,8 @@ int main(int argc, char** argv) {
 
   const ModemOnProcessor m = buildModemProgram(cfg);
   Processor proc;
-  RxRunOptions opts;
-  opts.countersJsonPath = countersJsonPath;
-  const ProcessorRxResult res = runModemOnProcessor(proc, m, rx, opts);
+  const ProcessorRxResult res = runModemOnProcessor(proc, m, rx);
+  if (!countersPath.empty()) trace::writeCountersFile(proc, countersPath);
   const int errs = dsp::bitErrors(res.bits, pkt.bits);
 
   printf("=== Table 2: profiling of the SDM-OFDM code ===\n");
@@ -167,8 +167,8 @@ int main(int argc, char** argv) {
   printf("total run: %llu cycles (%.1f us)\n",
          static_cast<unsigned long long>(res.cycles), res.elapsedUs);
 
-  if (!countersJsonPath.empty())
-    printf("wrote %s (schema adres.counters.v1)\n", countersJsonPath.c_str());
+  if (!countersPath.empty())
+    printf("wrote %s (schema adres.counters.v1)\n", countersPath.c_str());
   if (profileJsonPath.empty() && profileFoldedPath.empty() &&
       overheadMaxPct < 0)
     return 0;

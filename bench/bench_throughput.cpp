@@ -3,7 +3,7 @@
 // decode correctness, processing time vs air time, and the average power
 // of the run (the paper's 220 mW @ 100 Mbps+ operating point).
 //
-//   $ ./bench_throughput [countersJsonPath]
+//   $ ./bench_throughput [countersPath]
 //
 // When a path is given, the last packet's adres.counters.v1 dump is
 // written there (no file is written otherwise).
@@ -14,18 +14,17 @@
 #include "dsp/channel.hpp"
 #include "power/energy_model.hpp"
 #include "sdr/modem_program.hpp"
+#include "trace/telemetry.hpp"
 
 using namespace adres;
 
 int main(int argc, char** argv) {
-  std::string countersJson;
+  std::string countersPath;
   bench::Args args("bench_throughput", "100 Mbps+ operating-point check");
-  args.positional("countersJsonPath",
+  args.positional("countersPath",
                   "write the last packet's adres.counters.v1 dump here",
-                  &countersJson);
+                  &countersPath);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
-  const char* countersPath = countersJson.empty() ? nullptr
-                                                  : countersJson.c_str();
   printf("=== 100 Mbps+ operating point (QAM-64, 2x2 SDM, 20 MHz) ===\n");
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
@@ -51,9 +50,9 @@ int main(int argc, char** argv) {
     dsp::MimoChannel ch(cc);
     const auto rx = ch.run(pkt.waveform);
     Processor proc;
-    sdr::RxRunOptions opts;
-    if (seed == seeds[2] && countersPath) opts.countersJsonPath = countersPath;
-    const sdr::ProcessorRxResult res = sdr::runModemOnProcessor(proc, m, rx, opts);
+    const sdr::ProcessorRxResult res = sdr::runModemOnProcessor(proc, m, rx);
+    if (seed == seeds[2] && !countersPath.empty())
+      trace::writeCountersFile(proc, countersPath);
     const int errs = dsp::bitErrors(res.bits, pkt.bits);
     ++packets;
     if (res.detected && errs == 0) ++packetsOk;
@@ -74,7 +73,8 @@ int main(int argc, char** argv) {
          avgMw);
   printf("delivered goodput while processing: %.1f Mbps\n",
          static_cast<double>(totalBits - totalErrs) / totalUs);
-  if (countersPath)
-    printf("wrote %s (schema adres.counters.v1, last packet)\n", countersPath);
+  if (!countersPath.empty())
+    printf("wrote %s (schema adres.counters.v1, last packet)\n",
+           countersPath.c_str());
   return 0;
 }

@@ -62,7 +62,9 @@ int main(int argc, char** argv) {
   args.flag("json", "PATH", "BENCH_waterfall.json path ('-' = skip)",
             &jsonPath);
   args.flag("live-metrics", "PORT",
-            "serve campaign progress on PORT (0=ephemeral)", &metricsPort);
+            "serve campaign progress as Prometheus /metrics on PORT "
+            "(0=ephemeral)",
+            &metricsPort);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
 
   campaign::CampaignConfig cfg;

@@ -321,7 +321,6 @@ int main(int argc, char** argv) {
     server->registerSelfMetrics(*reg);
     server->setReadiness(
         [&farm](std::string* reason) { return farm->ready(reason); });
-    server->setSloEngine(slo.get());
     port = server->port();
     host = "127.0.0.1";
     if (frames == 0) frames = 6;

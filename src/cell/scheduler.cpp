@@ -7,6 +7,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "dsp/frontend.hpp"
 
 namespace adres::cell {
 namespace {
@@ -58,6 +59,7 @@ CellTotals CellScheduler::run(platform::PacketFarm& farm) {
   const std::size_t batch = static_cast<std::size_t>(scenario_.submitBatch);
   std::vector<std::vector<u8>> golden(batch);
   std::vector<platform::RxOutcome> outs;
+  dsp::TrialScratch scratch;  // reused by every packet of the run
   std::size_t next = 0;
   while (next < schedule_.size()) {
     const std::size_t n = std::min(batch, schedule_.size() - next);
@@ -68,24 +70,19 @@ CellTotals CellScheduler::run(platform::PacketFarm& farm) {
       // realization are pure functions of (seed, flow, seq) — no draw
       // anywhere (including other flows') can shift them.
       Rng txRng(packetSeed(scenario_, ev.flowId, ev.seq, kTxStream));
-      dsp::TxPacket pkt = dsp::transmit(scenario_.modem, txRng);
-      dsp::MimoChannel chan(packetChannel(scenario_, flow, ev));
       platform::RxJob job;
       job.id = next + i;  // schedule index: ordered collect == fold order
       job.tag = ev.flowId;
-      // The scalar channel stays the reference path; its waveforms are
-      // copied into recycled farm buffers, so the worker's release after
-      // each decode closes the pool's loop instead of growing it.
-      const auto rx = chan.run(pkt.waveform);
-      for (std::size_t a = 0; a < rx.size(); ++a) {
-        job.rx[a] = farm.acquireSampleBuffer();
-        job.rx[a].assign(rx[a].begin(), rx[a].end());
-      }
+      // The vectorized frontend writes straight into recycled farm buffers,
+      // so the worker's release after each decode closes the pool's loop
+      // instead of growing it.
+      for (auto& buf : job.rx) buf = farm.acquireSampleBuffer();
+      dsp::generateTrial(scenario_.modem, packetChannel(scenario_, flow, ev),
+                         txRng, golden[i], job.rx, scratch);
       // The deadline in cycles: a decode that alone would blow the frame
       // budget stops at kMaxCycles instead of simulating on — the watchdog
       // budget path enforces the deadline inside the decode.
       job.maxCycles = usToCycles(flow.deadlineUs);
-      golden[i] = std::move(pkt.bits);
       farm.submit(std::move(job));
     }
     farm.collectInto(outs);

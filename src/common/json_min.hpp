@@ -1,6 +1,6 @@
 // Minimal self-contained JSON parser — no external dependency.  Used to
 // validate the repo's JSON exporters in tests (Chrome trace,
-// adres.counters.v1, adres.metrics.v1, bench dumps) and to load
+// adres.counters.v1, adres.buildinfo.v1, bench dumps) and to load
 // adres.campaign.v1 checkpoints and adres.postmortem.v1 bundles.  Not a
 // general-purpose parser (a \uXXXX escape above U+007F collapses to '?'),
 // but it fails closed: nesting is capped at kMaxDepth, numbers follow the

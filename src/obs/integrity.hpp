@@ -50,7 +50,8 @@ struct SentinelConfig {
 };
 
 /// Everything of one decode the sentinel compares — a tier-agnostic summary
-/// both the primary worker and the shadow decoder can produce.
+/// both the primary worker and the shadow decoder can produce, and the
+/// decode record a postmortem bundle stores.
 struct DecodeSummary {
   bool detected = false;
   u32 ltfStart = 0;

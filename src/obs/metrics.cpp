@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/json_escape.hpp"
-
 namespace adres::obs {
 namespace {
 
@@ -66,43 +64,6 @@ std::string promLabelsWith(const Labels& labels, const char* key,
   return promLabels(l);
 }
 
-void jsonLabels(std::ostream& os, const Labels& labels) {
-  os << '{';
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i) os << ", ";
-    os << '"' << json::escape(labels[i].first) << "\": \""
-       << json::escape(labels[i].second) << '"';
-  }
-  os << '}';
-}
-
-/// Power-of-two raw-unit bucket bounds covering the snapshot's [min, max];
-/// bounds align with the log-linear decade boundaries, so no histogram
-/// bucket ever straddles one.  Capped at 24 lines by widening the stride.
-std::vector<u64> histBounds(const HistogramSnapshot& h) {
-  std::vector<u64> bounds;
-  if (!h.count) return bounds;
-  int kLo = 0;
-  while (kLo < 63 && (1ull << (kLo + 1)) <= std::max<u64>(h.min, 1)) ++kLo;
-  int kHi = kLo;
-  while (kHi < 63 && (1ull << kHi) <= h.max) ++kHi;
-  int stride = 1;
-  while ((kHi - kLo) / stride + 1 > 24) ++stride;
-  for (int k = kLo; k <= kHi; k += stride) bounds.push_back(1ull << k);
-  return bounds;
-}
-
-/// Count of recorded values below raw bound `b` (a power of two, so it falls
-/// exactly on a bucket edge of the log-linear layout).
-u64 histCumBelow(const HistogramSnapshot& h, u64 b) {
-  if (h.buckets.empty() || b == 0) return 0;
-  const std::size_t last = LogLinearHistogram::bucketIndex(b - 1);
-  u64 cum = 0;
-  for (std::size_t i = 0; i <= last && i < h.buckets.size(); ++i)
-    cum += h.buckets[i];
-  return cum;
-}
-
 }  // namespace
 
 void MetricsSnapshot::writePrometheus(
@@ -143,73 +104,7 @@ void MetricsSnapshot::writePrometheus(
     os << name << "_count" << promLabels(s.labels) << ' '
        << fmt(static_cast<double>(s.hist.count)) << '\n';
   }
-  for (const HistogramSample& s : histograms) {
-    const std::string name = promName(s.name);
-    if (const std::string* h = helpFor(s.name)) {
-      os << "# HELP " << name << ' ' << *h << '\n';
-    }
-    os << "# TYPE " << name << " histogram\n";
-    for (const u64 b : histBounds(s.hist)) {
-      os << name << "_bucket"
-         << promLabelsWith(s.labels, "le",
-                           fmt(static_cast<double>(b) * s.scale))
-         << ' ' << histCumBelow(s.hist, b) << '\n';
-    }
-    os << name << "_bucket" << promLabelsWith(s.labels, "le", "+Inf") << ' '
-       << s.hist.count << '\n';
-    os << name << "_sum" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.sum) * s.scale) << '\n';
-    os << name << "_count" << promLabels(s.labels) << ' '
-       << fmt(static_cast<double>(s.hist.count)) << '\n';
-  }
 }
-
-void MetricsSnapshot::writeJson(std::ostream& os) const {
-  os << "{\n  \"schema\": \"adres.metrics.v1\",\n"
-     << "  \"sequence\": " << sequence << ",\n"
-     << "  \"uptime_ms\": " << fmt(uptimeMs) << ",\n  \"metrics\": [";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const MetricSample& s = samples[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
-       << "\", \"type\": \""
-       << (s.type == MetricType::kCounter ? "counter" : "gauge")
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"value\": " << fmt(s.value) << '}';
-  }
-  os << "\n  ],\n  \"summaries\": [";
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    const SummarySample& s = summaries[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"count\": " << s.hist.count << ", \"sum\": "
-       << fmt(static_cast<double>(s.hist.sum) * s.scale)
-       << ", \"min\": " << fmt(static_cast<double>(s.hist.min) * s.scale)
-       << ", \"max\": " << fmt(static_cast<double>(s.hist.max) * s.scale)
-       << ", \"mean\": " << fmt(s.hist.mean() * s.scale);
-    for (std::size_t q = 0; q < std::size(kSummaryQuantiles); ++q) {
-      os << ", \"" << kSummaryQuantileNames[q] << "\": "
-         << fmt(s.hist.quantile(kSummaryQuantiles[q]) * s.scale);
-    }
-    os << '}';
-  }
-  os << "\n  ],\n  \"histograms\": [";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSample& s = histograms[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << json::escape(s.name)
-       << "\", \"labels\": ";
-    jsonLabels(os, s.labels);
-    os << ", \"count\": " << s.hist.count << ", \"sum\": "
-       << fmt(static_cast<double>(s.hist.sum) * s.scale)
-       << ", \"min\": " << fmt(static_cast<double>(s.hist.min) * s.scale)
-       << ", \"max\": " << fmt(static_cast<double>(s.hist.max) * s.scale)
-       << ", \"mean\": " << fmt(s.hist.mean() * s.scale) << '}';
-  }
-  os << "\n  ]\n}\n";
-}
-
-MetricsRegistry::MetricsRegistry() : start_(std::chrono::steady_clock::now()) {}
 
 void MetricsRegistry::addCounter(std::string name, std::string help,
                                  std::function<double()> fn, Labels labels) {
@@ -234,15 +129,6 @@ void MetricsRegistry::addSummary(std::string name, std::string help,
       {std::move(name), std::move(help), std::move(labels), scale, std::move(fn)});
 }
 
-void MetricsRegistry::addHistogram(std::string name, std::string help,
-                                   double scale,
-                                   std::function<HistogramSnapshot()> fn,
-                                   Labels labels) {
-  std::lock_guard<std::mutex> lk(mu_);
-  histograms_.push_back({std::move(name), std::move(help), std::move(labels),
-                         scale, std::move(fn)});
-}
-
 void MetricsRegistry::addCounterFamily(std::string name, std::string help,
                                        FamilyFn fn) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -261,17 +147,12 @@ void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   scalars_.clear();
   summaries_.clear();
-  histograms_.clear();
   families_.clear();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
   MetricsSnapshot out;
-  out.sequence = ++sequence_;
-  out.uptimeMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
   out.samples.reserve(scalars_.size());
   for (const ScalarDef& d : scalars_)
     out.samples.push_back({d.name, d.type, d.labels, finiteOrZero(d.fn())});
@@ -293,13 +174,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
                    [](const SummarySample& a, const SummarySample& b) {
                      return a.name < b.name;
                    });
-  out.histograms.reserve(histograms_.size());
-  for (const HistogramDef& d : histograms_)
-    out.histograms.push_back({d.name, d.labels, d.scale, d.fn()});
-  std::stable_sort(out.histograms.begin(), out.histograms.end(),
-                   [](const HistogramSample& a, const HistogramSample& b) {
-                     return a.name < b.name;
-                   });
   return out;
 }
 
@@ -314,17 +188,12 @@ std::vector<std::pair<std::string, std::string>> MetricsRegistry::helpTexts()
   };
   for (const ScalarDef& d : scalars_) addOnce(d.name, d.help);
   for (const SummaryDef& d : summaries_) addOnce(d.name, d.help);
-  for (const HistogramDef& d : histograms_) addOnce(d.name, d.help);
   for (const FamilyDef& d : families_) addOnce(d.name, d.help);
   return out;
 }
 
 void MetricsRegistry::writePrometheus(std::ostream& os) const {
   snapshot().writePrometheus(os, helpTexts());
-}
-
-void MetricsRegistry::writeJson(std::ostream& os) const {
-  snapshot().writeJson(os);
 }
 
 }  // namespace adres::obs

@@ -3,9 +3,8 @@
 // Components register named series — monotonic counters, point-in-time
 // gauges, and histogram-backed summaries — as getter callbacks; each
 // snapshot() materializes every series into an immutable `MetricsSnapshot`
-// that the exporters render as Prometheus text exposition (scraped from the
-// embedded MetricsServer) or as a versioned `adres.metrics.v1` JSON
-// document.
+// whose one rendering is the Prometheus text exposition (scraped from the
+// embedded MetricsServer, and embedded verbatim in postmortem bundles).
 //
 // Threading: every public method takes the registry mutex, so registration,
 // snapshotting and clear() may race freely; the getters themselves run
@@ -17,7 +16,6 @@
 // may be destroyed.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <mutex>
 #include <ostream>
@@ -53,27 +51,12 @@ struct SummarySample {
   HistogramSnapshot hist;
 };
 
-/// One histogram series rendered as a native Prometheus histogram:
-/// cumulative `_bucket{le="..."}` lines at power-of-two bounds (in export
-/// units) covering the recorded range, plus `_sum`/`_count`.
-struct HistogramSample {
-  std::string name;
-  Labels labels;
-  double scale = 1.0;
-  HistogramSnapshot hist;
-};
-
 /// The quantiles every summary exports.
 inline constexpr double kSummaryQuantiles[] = {0.5, 0.9, 0.99, 0.999};
-inline constexpr const char* kSummaryQuantileNames[] = {"p50", "p90", "p99",
-                                                        "p999"};
 
 struct MetricsSnapshot {
-  u64 sequence = 0;     ///< snapshot ordinal since registry creation
-  double uptimeMs = 0;  ///< host ms since registry creation
   std::vector<MetricSample> samples;
   std::vector<SummarySample> summaries;
-  std::vector<HistogramSample> histograms;
 
   /// Prometheus text exposition format 0.0.4 (counters/gauges as-is,
   /// summaries as quantile series plus _sum/_count).  `help` optionally
@@ -81,14 +64,10 @@ struct MetricsSnapshot {
   void writePrometheus(
       std::ostream& os,
       const std::vector<std::pair<std::string, std::string>>& help = {}) const;
-  /// Versioned JSON: {"schema":"adres.metrics.v1", ...}.
-  void writeJson(std::ostream& os) const;
 };
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-
   /// Registers a monotonic counter series.  `help` is emitted once per
   /// metric family; the family's help text comes from its first
   /// registration.
@@ -100,11 +79,6 @@ class MetricsRegistry {
   /// Registers a histogram-backed summary series.
   void addSummary(std::string name, std::string help, double scale,
                   std::function<HistogramSnapshot()> fn, Labels labels = {});
-
-  /// Registers a native Prometheus histogram series (cumulative buckets at
-  /// power-of-two bounds).
-  void addHistogram(std::string name, std::string help, double scale,
-                    std::function<HistogramSnapshot()> fn, Labels labels = {});
 
   /// A dynamic family: one getter yields the whole (labels, value) series
   /// set per snapshot — for key sets only known at runtime (e.g. the
@@ -126,8 +100,6 @@ class MetricsRegistry {
 
   /// snapshot() + writePrometheus, with family HELP/TYPE headers.
   void writePrometheus(std::ostream& os) const;
-  /// snapshot() + writeJson.
-  void writeJson(std::ostream& os) const;
 
  private:
   struct ScalarDef {
@@ -142,12 +114,6 @@ class MetricsRegistry {
     double scale;
     std::function<HistogramSnapshot()> fn;
   };
-  struct HistogramDef {
-    std::string name, help;
-    Labels labels;
-    double scale;
-    std::function<HistogramSnapshot()> fn;
-  };
   struct FamilyDef {
     std::string name, help;
     MetricType type;
@@ -157,10 +123,7 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::vector<ScalarDef> scalars_;
   std::vector<SummaryDef> summaries_;
-  std::vector<HistogramDef> histograms_;
   std::vector<FamilyDef> families_;
-  mutable u64 sequence_ = 0;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace adres::obs

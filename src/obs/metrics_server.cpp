@@ -7,12 +7,12 @@
 
 #include "common/check.hpp"
 #include "obs/buildinfo.hpp"
-#include "obs/slo.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -107,7 +107,7 @@ void MetricsServer::serveLoop() {
       break;  // listener shut down (or unrecoverable) — exit the loop
     }
     const auto t0 = std::chrono::steady_clock::now();
-    handleConnection(fd);
+    handleConnection(fd, t0 + kRequestDeadline);
     closeFd(fd);
     scrapeDurationNs_.record(static_cast<u64>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -121,11 +121,6 @@ void MetricsServer::setReadiness(ReadinessFn fn) {
   readiness_ = std::move(fn);
 }
 
-void MetricsServer::setSloEngine(SloEngine* engine) {
-  std::lock_guard<std::mutex> lk(hookMu_);
-  slo_ = engine;
-}
-
 void MetricsServer::registerSelfMetrics(MetricsRegistry& reg) {
   reg.addCounter("adres_metrics_scrapes_total",
                  "HTTP requests served by the metrics endpoint",
@@ -135,14 +130,27 @@ void MetricsServer::registerSelfMetrics(MetricsRegistry& reg) {
                  [this] { return scrapeDurationNs_.snapshot(); });
 }
 
-void MetricsServer::handleConnection(int fd) {
-  // One small request: read until the header terminator (or 4 KiB).
-  timeval tv{};
-  tv.tv_sec = 5;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+void MetricsServer::handleConnection(
+    int fd, std::chrono::steady_clock::time_point deadline) {
+  // One small request: read until the header terminator (or 4 KiB), each
+  // wait bounded by what is left of the connection's deadline.
   std::string req;
   char buf[1024];
   while (req.size() < 4096 && req.find("\r\n\r\n") == std::string::npos) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready =
+        left.count() > 0 ? ::poll(&pfd, 1, static_cast<int>(left.count())) : 0;
+    if (ready == 0) {
+      sendAll(fd, httpResponse("408 Request Timeout", "text/plain",
+                               "request header not received in time\n"));
+      return;
+    }
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n <= 0) break;
     req.append(buf, static_cast<std::size_t>(n));
@@ -161,10 +169,6 @@ void MetricsServer::handleConnection(int fd) {
     reg_.writePrometheus(body);
     sendAll(fd, httpResponse("200 OK", "text/plain; version=0.0.4",
                              body.str()));
-  } else if (path == "/metrics.json") {
-    std::ostringstream body;
-    reg_.writeJson(body);
-    sendAll(fd, httpResponse("200 OK", "application/json", body.str()));
   } else if (path == "/buildinfo") {
     std::ostringstream body;
     writeBuildInfoJson(body);
@@ -185,31 +189,14 @@ void MetricsServer::handleConnection(int fd) {
       sendAll(fd, httpResponse("503 Service Unavailable", "text/plain",
                                "not ready: " + reason + "\n"));
     }
-  } else if (path == "/slo") {
-    SloEngine* engine;
-    {
-      std::lock_guard<std::mutex> lk(hookMu_);
-      engine = slo_;
-    }
-    if (engine) {
-      engine->evaluate();
-      std::ostringstream body;
-      engine->writeJson(body);
-      sendAll(fd, httpResponse("200 OK", "application/json", body.str()));
-    } else {
-      sendAll(fd, httpResponse("404 Not Found", "text/plain",
-                               "no SLO engine attached\n"));
-    }
   } else if (path == "/" || path == "/index.html") {
     sendAll(fd, httpResponse(
                     "200 OK", "text/html",
                     "<html><body><h1>adres metrics</h1><ul>"
                     "<li><a href=\"/metrics\">/metrics</a> (Prometheus)</li>"
-                    "<li><a href=\"/metrics.json\">/metrics.json</a></li>"
                     "<li><a href=\"/buildinfo\">/buildinfo</a></li>"
                     "<li><a href=\"/healthz\">/healthz</a></li>"
                     "<li><a href=\"/readyz\">/readyz</a></li>"
-                    "<li><a href=\"/slo\">/slo</a></li>"
                     "</ul></body></html>\n"));
   } else {
     sendAll(fd, httpResponse("404 Not Found", "text/plain", "not found\n"));
@@ -273,9 +260,9 @@ MetricsServer::~MetricsServer() = default;
 void MetricsServer::stop() {}
 void MetricsServer::registerSelfMetrics(MetricsRegistry&) {}
 void MetricsServer::setReadiness(ReadinessFn) {}
-void MetricsServer::setSloEngine(SloEngine*) {}
 void MetricsServer::serveLoop() {}
-void MetricsServer::handleConnection(int) {}
+void MetricsServer::handleConnection(int,
+                                     std::chrono::steady_clock::time_point) {}
 
 std::string httpGet(const std::string&, int, const std::string&, std::string*,
                     int) {

@@ -3,24 +3,26 @@
 // mid-flight.  One blocking accept loop on its own thread, one request per
 // connection (HTTP/1.0, Connection: close):
 //
-//   GET /metrics       -> Prometheus text exposition (format 0.0.4)
-//   GET /metrics.json  -> adres.metrics.v1 JSON snapshot
+//   GET /metrics       -> Prometheus text exposition (format 0.0.4): every
+//                         registered series, SLO state included
 //   GET /buildinfo     -> adres.buildinfo.v1 (version, git, build flags)
 //   GET /healthz       -> "ok" liveness probe (the process serves requests)
 //   GET /readyz        -> readiness probe: 200 once the registered readiness
 //                         check passes (farm workers warm, program cache
 //                         populated), 503 with the blocking reason before
-//   GET /slo           -> adres.slo.v1 burn-rate state (404 with no engine)
 //   GET /              -> tiny HTML index
 //
 // Not a general web server: no keep-alive, no TLS, no request body — a
-// scrape endpoint with the smallest possible surface.  Binds 127.0.0.1 by
-// default; port 0 picks an ephemeral port (read back via port()).  The
-// registry must outlive the server, or be clear()ed first (clear() is the
-// teardown barrier).
+// scrape endpoint with the smallest possible surface.  Each connection must
+// deliver its request header within kRequestDeadline of being accepted
+// (else 408), so one slow client cannot hold the single serve thread — or
+// stop() — for longer than that.  Binds 127.0.0.1 by default; port 0 picks
+// an ephemeral port (read back via port()).  The registry must outlive the
+// server, or be clear()ed first (clear() is the teardown barrier).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -30,10 +32,12 @@
 
 namespace adres::obs {
 
-class SloEngine;
-
 class MetricsServer {
  public:
+  /// Time from accept to a complete request header; a connection still
+  /// short of it then gets 408 and is closed.
+  static constexpr std::chrono::milliseconds kRequestDeadline{1000};
+
   /// Binds and starts serving immediately; throws SimError on bind failure.
   explicit MetricsServer(const MetricsRegistry& reg, int port = 0,
                          const std::string& bindAddr = "127.0.0.1");
@@ -51,9 +55,6 @@ class MetricsServer {
   /// Scrapes served since start.
   u64 requests() const { return requests_.load(std::memory_order_relaxed); }
 
-  /// Per-request handling durations (ns), recorded by the serve thread.
-  HistogramSnapshot scrapeDurations() const { return scrapeDurationNs_.snapshot(); }
-
   /// Registers the server's own series on `reg` (which must be the registry
   /// this server scrapes): adres_metrics_scrapes_total and the
   /// adres_metrics_scrape_duration_us summary.  The server must outlive the
@@ -69,19 +70,13 @@ class MetricsServer {
   using ReadinessFn = std::function<bool(std::string* reason)>;
   void setReadiness(ReadinessFn fn);
 
-  /// Attaches the SLO engine behind /slo (each request evaluates and
-  /// returns adres.slo.v1).  Null detaches; the engine must outlive its
-  /// attachment.
-  void setSloEngine(SloEngine* engine);
-
  private:
   void serveLoop();
-  void handleConnection(int fd);
+  void handleConnection(int fd, std::chrono::steady_clock::time_point deadline);
 
   const MetricsRegistry& reg_;
-  mutable std::mutex hookMu_;  ///< guards readiness_ / slo_ vs the serve thread
+  mutable std::mutex hookMu_;  ///< guards readiness_ vs the serve thread
   ReadinessFn readiness_;
-  SloEngine* slo_ = nullptr;
   int listenFd_ = -1;
   int port_ = -1;
   std::atomic<bool> stopping_{false};

@@ -27,8 +27,8 @@ u64 hexToU64(const std::string& s) {
   return v;
 }
 
-void writeResultRecord(const ResultRecord& r, std::ostream& os,
-                       const char* pad) {
+void writeDecodeSummary(const DecodeSummary& r, std::ostream& os,
+                        const char* pad) {
   os << "{\n" << pad << "  \"detected\": " << (r.detected ? "true" : "false")
      << ",\n" << pad << "  \"ltf_start\": " << r.ltfStart << ",\n"
      << pad << "  \"stop\": \"" << json::escape(r.stop) << "\",\n"
@@ -55,9 +55,8 @@ void writeRx(const std::vector<cint16>& rx, std::ostream& os) {
   os << ']';
 }
 
-ResultRecord parseResultRecord(const json::JsonValue& v) {
-  ResultRecord r;
-  r.valid = true;
+DecodeSummary parseDecodeSummary(const json::JsonValue& v) {
+  DecodeSummary r;
   r.detected = v.at("detected").boolean;
   r.ltfStart = static_cast<u32>(v.at("ltf_start").number);
   r.stop = v.at("stop").str;
@@ -93,19 +92,6 @@ std::vector<cint16> parseRx(const json::JsonValue& v) {
 
 }  // namespace
 
-ResultRecord toRecord(const DecodeSummary& s) {
-  ResultRecord r;
-  r.valid = true;
-  r.detected = s.detected;
-  r.ltfStart = s.ltfStart;
-  r.stop = s.stop;
-  r.cycles = s.cycles;
-  r.totalOps = s.totalOps;
-  r.bits = s.bits;
-  r.regions = s.regions;
-  return r;
-}
-
 void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
                          const MetricsRegistry* metrics) {
   os << "{\n  \"schema\": \"adres.postmortem.v1\",\n"
@@ -125,10 +111,10 @@ void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
   os << ",\n    ";
   writeRx(b.rx[1], os);
   os << "\n  ],\n  \"primary\": ";
-  writeResultRecord(b.primary, os, "  ");
+  writeDecodeSummary(b.primary, os, "  ");
   os << ",\n  \"shadow\": ";
-  if (b.shadow.valid) {
-    writeResultRecord(b.shadow, os, "  ");
+  if (b.shadow) {
+    writeDecodeSummary(*b.shadow, os, "  ");
   } else {
     os << "null";
   }
@@ -147,12 +133,9 @@ void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
     os << s;
   }
   if (metrics) {
-    os << ",\n  \"metrics\": ";
     std::ostringstream ms;
-    metrics->writeJson(ms);
-    std::string s = ms.str();
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-    os << s;
+    metrics->writePrometheus(ms);
+    os << ",\n  \"metrics\": \"" << json::escape(ms.str()) << '"';
   }
   os << "\n}\n";
 }
@@ -188,10 +171,10 @@ PostmortemBundle loadPostmortemBundle(const std::string& path) {
   b.rx[0] = parseRx(rx.array[0]);
   b.rx[1] = parseRx(rx.array[1]);
 
-  b.primary = parseResultRecord(root.at("primary"));
+  b.primary = parseDecodeSummary(root.at("primary"));
   const json::JsonValue& shadow = root.at("shadow");
   if (shadow.type == json::JsonValue::kObject)
-    b.shadow = parseResultRecord(shadow);
+    b.shadow = parseDecodeSummary(shadow);
 
   b.spans.traceId = b.traceId;
   b.spans.jobId = b.jobId;

@@ -6,7 +6,8 @@
 // payload, modem configuration and cycle budget needed to re-run the packet
 // (the black box *and* the flight), both decode results with their
 // per-region counter partitions, the span tree, the shadow decode's
-// flight-recorder ring, a metrics snapshot and the build identity.
+// flight-recorder ring, the registry's Prometheus exposition and the build
+// identity.
 // `tools/postmortem_replay` re-decodes a bundle standalone and confirms (or
 // refutes) the recorded failure.
 //
@@ -16,8 +17,8 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -38,25 +39,10 @@ struct PostmortemConfig {
   bool enabled = false;
   std::string dir = "postmortems";  ///< store directory (created on demand)
   std::size_t maxBundles = 16;      ///< bound on retained bundle files
-  /// Registry whose snapshot is embedded in each bundle ("metrics" block);
-  /// null skips the block.  Must outlive the writer.
+  /// Registry whose Prometheus exposition is embedded in each bundle (the
+  /// "metrics" string); null skips it.  Must outlive the writer.
   const MetricsRegistry* metrics = nullptr;
 };
-
-/// One decode result as recorded in a bundle.
-struct ResultRecord {
-  bool valid = false;  ///< false: this side was not recorded (no shadow)
-  bool detected = false;
-  u32 ltfStart = 0;
-  std::string stop;  ///< stopReasonName of the stop reason
-  u64 cycles = 0;
-  u64 totalOps = 0;
-  std::vector<u8> bits;  ///< one 0/1 byte per payload bit
-  std::map<int, RegionProfile> regions;  ///< per-region counter partition
-};
-
-/// The recorded (valid) form of a decode summary.
-ResultRecord toRecord(const DecodeSummary& s);
 
 struct PostmortemBundle {
   std::string trigger;  ///< "divergence" | "watchdog" | "slo_breach" | ...
@@ -78,8 +64,8 @@ struct PostmortemBundle {
   u64 faultInjectSeed = 0;  ///< RxRunOptions::faultInjectBitFlipSeed (0 = off)
   std::array<std::vector<cint16>, 2> rx;
 
-  ResultRecord primary;  ///< the serving-path decode
-  ResultRecord shadow;   ///< the sentinel's shadow decode (valid=false if none)
+  DecodeSummary primary;                ///< the serving-path decode
+  std::optional<DecodeSummary> shadow;  ///< the sentinel's shadow decode
 
   trace::PacketSpans spans;      ///< span tree (may be empty)
   std::vector<TraceEvent> ring;  ///< flight-recorder ring of the shadow redo
@@ -89,7 +75,8 @@ struct PostmortemBundle {
 };
 
 /// Serializes a bundle as adres.postmortem.v1.  `metrics`, when non-null,
-/// embeds a fresh registry snapshot; the build identity is always embedded.
+/// embeds the registry's current Prometheus exposition as one JSON string;
+/// the build identity is always embedded.
 void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
                          const MetricsRegistry* metrics = nullptr);
 

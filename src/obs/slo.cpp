@@ -277,11 +277,6 @@ std::vector<SloStatus> SloEngine::evaluate() {
   return out;
 }
 
-std::vector<SloStatus> SloEngine::statuses() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return statuses_;
-}
-
 void SloEngine::setBreachHook(BreachHook hook) {
   std::lock_guard<std::mutex> lk(mu_);
   hook_ = std::move(hook);
@@ -350,27 +345,6 @@ void SloEngine::stop() {
   }
   cv_.notify_all();
   if (monitor_.joinable()) monitor_.join();
-}
-
-void SloEngine::writeJson(std::ostream& os) const {
-  std::vector<SloStatus> sts = statuses();
-  os << "{\n  \"schema\": \"adres.slo.v1\",\n  \"evaluations\": "
-     << totalEvaluations() << ",\n  \"slos\": [";
-  for (std::size_t i = 0; i < sts.size(); ++i) {
-    const SloStatus& st = sts[i];
-    os << (i ? ",\n" : "\n") << "    {\"name\": \"" << st.spec.name
-       << "\", \"spec\": \"" << sloSpecToString(st.spec) << "\", \"metric\": \""
-       << sloKindName(st.spec.kind) << "\", \"threshold\": "
-       << fmt(st.spec.threshold) << ", \"for\": " << st.spec.forCount
-       << ", \"value\": " << fmt(st.value)
-       << ", \"have_value\": " << (st.haveValue ? "true" : "false")
-       << ", \"breaching\": " << (st.breaching ? "true" : "false")
-       << ", \"fired\": " << (st.fired ? "true" : "false")
-       << ", \"consecutive\": " << st.consecutive
-       << ", \"breaches\": " << st.breaches
-       << ", \"burn_rate\": " << fmt(st.burnRate) << '}';
-  }
-  os << "\n  ]\n}\n";
 }
 
 }  // namespace adres::obs

@@ -6,9 +6,9 @@
 // divergence count — with a threshold; the SloEngine evaluates every spec
 // against a MetricsRegistry snapshot (on demand or on its own periodic
 // thread), tracks burn-rate and consecutive-breach state, and exposes the
-// result as Prometheus gauge families plus the `/slo` JSON endpoint
-// (`adres.slo.v1`).  A breach-onset hook turns an SLO violation into a
-// postmortem-bundle trigger.
+// result as Prometheus gauge families on the registry it watches (served on
+// `/metrics` with every other series).  A breach-onset hook turns an SLO
+// violation into a postmortem-bundle trigger.
 //
 // Spec grammar (parseSloSpecList; ';'-separated list):
 //
@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,9 +98,6 @@ class SloEngine {
   /// Returns the updated statuses.
   std::vector<SloStatus> evaluate();
 
-  /// Last evaluated statuses (cached; empty before the first evaluate()).
-  std::vector<SloStatus> statuses() const;
-
   /// Called once per fired-onset (a spec transitioning to fired), outside
   /// the engine mutex — the postmortem trigger.  Set before traffic.
   using BreachHook = std::function<void(const SloStatus&)>;
@@ -122,9 +118,6 @@ class SloEngine {
   u64 totalEvaluations() const {
     return evals_.load(std::memory_order_relaxed);
   }
-
-  /// adres.slo.v1: the statuses as JSON (the `/slo` endpoint body).
-  void writeJson(std::ostream& os) const;
 
  private:
   double extractValue(const MetricsSnapshot& snap, const SloSpec& spec,

@@ -19,7 +19,6 @@ PacketFarm::PacketFarm(FarmConfig cfg)
   // Per-worker sinks would interleave into one file; aggregates come from
   // stats() instead.
   cfg_.run.trace = nullptr;
-  cfg_.run.countersJsonPath.clear();
   cfg_.run.progressCycles = nullptr;
   cfg_.run.cancel = nullptr;
   cfg_.run.regionLog = nullptr;  // per-worker logs are wired in workerMain
@@ -56,7 +55,7 @@ PacketFarm::PacketFarm(FarmConfig cfg)
                                     const RingBufferSink& ring) {
         obs::PostmortemBundle b = bundleFor("divergence", ev.detail, p);
         b.shadowTier = ev.shadowTier;
-        b.shadow = obs::toRecord(shadow);
+        b.shadow = shadow;
         b.ring = ring.events();
         b.ringAccepted = ring.accepted();
         b.ringDropped = ring.dropped();
@@ -215,7 +214,7 @@ obs::PostmortemBundle PacketFarm::bundleFor(
   b.maxCycles = p.maxCycles;
   b.faultInjectSeed = cfg_.run.faultInjectBitFlipSeed;
   b.rx = p.rx;
-  b.primary = obs::toRecord(p.primary);
+  b.primary = p.primary;
   b.spans = p.spans;
   return b;
 }
@@ -355,9 +354,6 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
   reg.addSummary("adres_farm_queue_wait_us",
                  "host submit-to-dispatch queue wait (merged across workers)",
                  1e-3 /* ns -> us */, [this] { return queueWaitSnapshot(); });
-  reg.addHistogram("adres_farm_decode_latency_us",
-                   "host decode latency histogram", 1e-3 /* ns -> us */,
-                   [this] { return latencySnapshot(); });
   reg.addGauge("adres_farm_slowest_packet_id", "job id of the slowest decode",
                [this] { return static_cast<double>(slowestPacket().id); });
   reg.addGauge("adres_farm_slowest_packet_worker",

@@ -79,8 +79,8 @@ struct FarmConfig {
   /// Sort outcomes by job id (deterministic, bit-exactness tests); false
   /// returns completion order.
   bool ordered = true;
-  /// Per-packet run options.  trace and countersJsonPath are ignored by the
-  /// farm (per-worker sinks would interleave); use stats() for aggregates.
+  /// Per-packet run options.  trace is ignored by the farm (per-worker sinks
+  /// would interleave); use stats() for aggregates.
   /// The supervision fields (progressCycles/cancel) are overwritten with
   /// the per-worker health records when the watchdog is enabled.
   /// run.profile folds per-launch cycle attribution into FarmStats::profile.

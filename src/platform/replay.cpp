@@ -9,25 +9,24 @@
 namespace adres::platform {
 namespace {
 
-obs::ResultRecord decodeOnce(const sdr::ModemOnProcessor& modem,
-                             const obs::PostmortemBundle& b, ExecTier tier,
-                             u64 faultSeed) {
+obs::DecodeSummary decodeOnce(const sdr::ModemOnProcessor& modem,
+                              const obs::PostmortemBundle& b, ExecTier tier,
+                              u64 faultSeed) {
   Processor proc;
   sdr::RxRunOptions opts;
   if (b.maxCycles != 0) opts.maxCycles = b.maxCycles;
   opts.exec.tier = tier;
   opts.exec.plans = modem.plansFor(tier);
   opts.faultInjectBitFlipSeed = faultSeed;
-  return obs::toRecord(
-      summarizeDecode(sdr::runModemOnProcessor(proc, modem, b.rx, opts), proc));
+  return summarizeDecode(sdr::runModemOnProcessor(proc, modem, b.rx, opts),
+                         proc);
 }
 
 /// Result identity as the sentinel defines it: payload bits, result
 /// metadata and the simulated cycle count.
-bool sameDecode(const obs::ResultRecord& a, const obs::ResultRecord& b) {
-  return a.valid && b.valid && a.detected == b.detected &&
-         a.ltfStart == b.ltfStart && a.stop == b.stop &&
-         a.cycles == b.cycles && a.bits == b.bits;
+bool sameDecode(const obs::DecodeSummary& a, const obs::DecodeSummary& b) {
+  return a.detected == b.detected && a.ltfStart == b.ltfStart &&
+         a.stop == b.stop && a.cycles == b.cycles && a.bits == b.bits;
 }
 
 }  // namespace
@@ -35,7 +34,6 @@ bool sameDecode(const obs::ResultRecord& a, const obs::ResultRecord& b) {
 ReplayReport replayPostmortem(const obs::PostmortemBundle& b) {
   ADRES_CHECK(!b.rx[0].empty() && !b.rx[1].empty(),
               "bundle carries no rx payload — nothing to replay");
-  ADRES_CHECK(b.primary.valid, "bundle records no primary decode");
   dsp::ModemConfig cfg;
   cfg.mod = static_cast<dsp::Modulation>(b.modulation);
   cfg.numSymbols = b.numSymbols;
@@ -48,12 +46,12 @@ ReplayReport replayPostmortem(const obs::PostmortemBundle& b) {
   if (b.faultInjectSeed != 0)
     rep.faultReplay = decodeOnce(*modem, b, tier, b.faultInjectSeed);
   rep.matchesPrimary = sameDecode(rep.replay, b.primary);
-  rep.matchesShadow = b.shadow.valid && sameDecode(rep.replay, b.shadow);
+  rep.matchesShadow = b.shadow && sameDecode(rep.replay, *b.shadow);
   rep.faultReproducesPrimary =
-      rep.faultReplay.valid && sameDecode(rep.faultReplay, b.primary);
+      rep.faultReplay && sameDecode(*rep.faultReplay, b.primary);
 
   std::ostringstream v;
-  if (b.shadow.valid) {
+  if (b.shadow) {
     // A divergence bundle: the clean replay is the arbiter.  It must side
     // with the shadow decode AND against the recorded primary — and when
     // the incident was a planted fault, the recorded seed must re-corrupt

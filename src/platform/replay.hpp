@@ -17,6 +17,7 @@
 // tools/postmortem_replay is a thin CLI over replayPostmortem().
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "obs/postmortem.hpp"
@@ -24,9 +25,9 @@
 namespace adres::platform {
 
 struct ReplayReport {
-  obs::ResultRecord replay;       ///< the clean re-decode of the bundle's rx
-  obs::ResultRecord faultReplay;  ///< fault-seeded re-decode (valid when
-                                  ///< the bundle carries a fault seed)
+  obs::DecodeSummary replay;  ///< the clean re-decode of the bundle's rx
+  /// Fault-seeded re-decode (present when the bundle carries a fault seed).
+  std::optional<obs::DecodeSummary> faultReplay;
   bool matchesPrimary = false;  ///< replay == recorded primary (bits+cycles)
   bool matchesShadow = false;   ///< replay == recorded shadow (bits+cycles)
   bool faultReproducesPrimary = false;  ///< faultReplay == recorded primary

@@ -29,9 +29,8 @@ std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
 void clearModemProgramCache();
 
 /// Summarizes a decode that just finished on `proc` for the sentinel's
-/// comparison (and, through obs::toRecord, for postmortem bundles): result
-/// metadata, decoded bits, cycles, total ops and the per-region counter
-/// partition.
+/// comparison and for postmortem bundles: result metadata, decoded bits,
+/// cycles, total ops and the per-region counter partition.
 obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
                                    const Processor& proc);
 

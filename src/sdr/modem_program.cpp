@@ -5,7 +5,6 @@
 #include <bit>
 #include <mutex>
 
-#include "common/atomic_file.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "dsp/lanes.hpp"
@@ -16,7 +15,6 @@
 #include "sdr/glue.hpp"
 #include "sdr/kernels.hpp"
 #include "sdr/tables.hpp"
-#include "trace/telemetry.hpp"
 
 namespace adres::sdr {
 
@@ -660,16 +658,6 @@ void Emitter::emitDataLoop() {
   pb.brIf(1, top);
 }
 
-/// The RxRunOptions::countersJsonPath dump ("" = off).
-void writeCountersFile(const Processor& proc, const std::string& path) {
-  if (path.empty()) return;
-  ADRES_CHECK(writeFileAtomic(path,
-                              [&](std::ostream& os) {
-                                trace::writeCountersJson(proc, os);
-                              }),
-              "cannot write counters JSON '" << path << '\'');
-}
-
 }  // namespace
 
 ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg) {
@@ -798,10 +786,7 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
   }
   out.cycles = proc.cycles();
   out.elapsedUs = proc.elapsedUs();
-  if (!out.halted()) {
-    writeCountersFile(proc, opts.countersJsonPath);
-    return;
-  }
+  if (!out.halted()) return;
   out.detected = proc.l1().read32(m.layout.status) != 0;
   out.ltfStart = proc.l1().read32(m.layout.status + 4);
 
@@ -838,7 +823,6 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
     out.bits[static_cast<std::size_t>(mix64(opts.faultInjectBitFlipSeed) %
                                       out.bits.size())] ^= 1;
   }
-  writeCountersFile(proc, opts.countersJsonPath);
 }
 
 }  // namespace adres::sdr

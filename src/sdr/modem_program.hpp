@@ -80,9 +80,6 @@ struct RxRunOptions {
   /// they differ only in host speed.
   ExecPolicy exec;
   TraceSink* trace = nullptr;      ///< attached to the processor when set
-  /// adres.counters.v1 dump, written atomically after the run ("" = off);
-  /// a failed write throws SimError naming the path.
-  std::string countersJsonPath;
   std::atomic<u64>* progressCycles = nullptr;  ///< heartbeat: cycles so far
   const std::atomic<u32>* cancel = nullptr;    ///< non-zero aborts the run
   u64 progressIntervalCycles = 32'768;         ///< slice size when supervised

@@ -158,15 +158,6 @@ void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
   os << "\n]}\n";
 }
 
-void writeJsonl(const std::vector<TraceEvent>& events, std::ostream& os) {
-  for (const TraceEvent& e : events) {
-    os << "{\"cycle\":" << e.cycle << ",\"dur\":" << e.dur << ",\"kind\":\""
-       << traceEventKindName(e.kind) << "\",\"track\":"
-       << static_cast<int>(e.track) << ",\"a\":" << e.a << ",\"b\":" << e.b
-       << "}\n";
-  }
-}
-
 void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
                           int indent) {
   const std::string pad(static_cast<std::size_t>(indent), ' ');

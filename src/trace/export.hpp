@@ -1,5 +1,5 @@
-// Trace exporters: Chrome trace-event JSON (chrome://tracing / Perfetto)
-// and a flat JSONL stream.
+// Trace exporters: Chrome trace-event JSON (chrome://tracing / Perfetto),
+// plus the span and ring-event JSON fragments of postmortem bundles.
 //
 // The Chrome export maps the simulator onto one process with one named
 // track (tid) per VLIW issue slot and per CGA FU, plus tracks for the core
@@ -40,10 +40,6 @@ inline constexpr int kAhb = 52;
 void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
                       const TraceNames& names = {},
                       double cyclePeriodUs = 1.0 / 400.0);
-
-/// Writes one JSON object per line, schema-stable:
-/// {"cycle":N,"dur":N,"kind":"...","track":N,"a":N,"b":N}
-void writeJsonl(const std::vector<TraceEvent>& events, std::ostream& os);
 
 // -- Artifact-harvest fragments ---------------------------------------------
 // The span-array and flight-recorder-ring JSON bodies of adres.postmortem.v1

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/hash.hpp"
-#include "common/json_escape.hpp"
 
 namespace adres::trace {
 
@@ -95,7 +94,7 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
   ps.spans.push_back(decode);
 
   // Region children: simulated cycle offsets mapped linearly into the decode
-  // host window so nested bars render sensibly in the Chrome trace viewer.
+  // host window, so each child's host times nest inside its decode span.
   const double usPerCycle =
       decodeCycles ? decode.durUs / static_cast<double>(decodeCycles) : 0.0;
   for (const RegionSpan& r : regionLog) {
@@ -111,35 +110,6 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
     ps.spans.push_back(s);
   }
   return ps;
-}
-
-void writeSpansChromeTrace(const std::vector<PacketSpans>& packets,
-                           std::ostream& os) {
-  constexpr int kPid = 2;  // pid 1 is the cycle-level core trace exporter
-  os << "{\"traceEvents\":[\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"tid\":0,\"args\":{\"name\":\"adres packet farm\"}}";
-  std::vector<int> workers;
-  for (const PacketSpans& p : packets)
-    if (std::find(workers.begin(), workers.end(), p.worker) == workers.end())
-      workers.push_back(p.worker);
-  std::sort(workers.begin(), workers.end());
-  for (const int w : workers) {
-    os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-       << ",\"tid\":" << w << ",\"args\":{\"name\":\"worker " << w << "\"}}";
-  }
-  for (const PacketSpans& p : packets) {
-    for (const Span& s : p.spans) {
-      os << ",\n{\"name\":\"" << json::escape(s.name) << "\",\"cat\":\""
-         << spanKindName(s.kind) << "\",\"ph\":\"X\",\"pid\":" << kPid
-         << ",\"tid\":" << p.worker << ",\"ts\":" << s.startUs
-         << ",\"dur\":" << s.durUs << ",\"args\":{\"trace_id\":\""
-         << traceIdHex(p.traceId) << "\",\"job\":" << p.jobId
-         << ",\"tag\":" << p.tag << ",\"cycles\":" << s.cycles
-         << ",\"ops\":" << s.ops << "}}";
-    }
-  }
-  os << "\n]}\n";
 }
 
 }  // namespace adres::trace

@@ -5,11 +5,9 @@
 // span per modem kernel region (from the Processor's region-span log, NOT
 // a TraceSink, so the CGA steady-state fast path stays engaged).  Host
 // phases carry wall-clock µs on the farm's epoch; region children carry
-// simulated cycles and are mapped linearly into the decode window for the
-// Chrome export.
+// simulated cycles and are mapped linearly into the decode window.
 #pragma once
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -69,10 +67,5 @@ PacketSpans buildPacketSpans(u64 jobId, u32 tag, int worker, double enqueueUs,
                              double decodeEndUs, u64 decodeCycles,
                              const std::vector<RegionSpan>& regionLog,
                              const std::vector<std::string>& regionNames);
-
-/// Chrome trace-event export of farm packet spans: one process (pid 2), one
-/// named track per worker; every event carries the trace id in its args.
-void writeSpansChromeTrace(const std::vector<PacketSpans>& packets,
-                           std::ostream& os);
 
 }  // namespace adres::trace

@@ -1,5 +1,7 @@
 #include "trace/telemetry.hpp"
 
+#include "common/atomic_file.hpp"
+#include "common/check.hpp"
 #include "core/processor.hpp"
 
 namespace adres::trace {
@@ -7,6 +9,14 @@ namespace adres::trace {
 void writeCountersJson(const Processor& proc, std::ostream& os) {
   writeCountersJson(os, readCounters(proc), proc.profiles(),
                     proc.program().regionNames);
+}
+
+void writeCountersFile(const Processor& proc, const std::string& path) {
+  ADRES_CHECK(writeFileAtomic(path,
+                              [&](std::ostream& os) {
+                                writeCountersJson(proc, os);
+                              }),
+              "cannot write counters JSON '" << path << '\'');
 }
 
 void printRegionTable(const Processor& proc, std::FILE* out) {

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <ostream>
+#include <string>
 
 #include "trace/counters.hpp"
 
@@ -16,6 +17,10 @@ namespace adres::trace {
 
 /// Stable-schema counters dump for `proc`.
 void writeCountersJson(const Processor& proc, std::ostream& os);
+
+/// writeCountersJson into `path`, written atomically; a failed write throws
+/// SimError naming the path.
+void writeCountersFile(const Processor& proc, const std::string& path);
 
 /// Per-region summary table (name, entries, cycles, mode, IPC) to `out`.
 void printRegionTable(const Processor& proc, std::FILE* out = stdout);

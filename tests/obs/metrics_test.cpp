@@ -1,17 +1,26 @@
-// MetricsRegistry + exporters + embedded MetricsServer: snapshot ordering,
-// Prometheus text exposition, adres.metrics.v1 JSON round-trip (validated
-// with the shared tests/support/json_min.hpp parser), dynamic families,
-// clear() semantics, and a real localhost scrape through httpGet.
+// MetricsRegistry + Prometheus exporter + embedded MetricsServer: snapshot
+// ordering, the text exposition, dynamic families, clear() semantics, real
+// localhost scrapes through httpGet, and the per-connection request deadline
+// that keeps a slow client from stalling the single serve thread.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "common/json_min.hpp"
 #include "obs/buildinfo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_server.hpp"
-#include "obs/slo.hpp"
 
 namespace adres::obs {
 namespace {
@@ -34,11 +43,9 @@ TEST(MetricsRegistry, SnapshotOrdersByNameAndTypesSamples) {
   EXPECT_EQ(s.samples[1].labels.size(), 1u) << "registration order in family";
   EXPECT_EQ(s.samples[2].name, "z_depth");
   EXPECT_EQ(s.samples[2].type, MetricType::kGauge);
-  EXPECT_EQ(s.sequence, 1u);
 
   hits = 42;
   EXPECT_EQ(reg.snapshot().samples[0].value, 42.0) << "getters read live";
-  EXPECT_EQ(reg.snapshot().sequence, 3u);
 }
 
 TEST(MetricsRegistry, DynamicFamilyExpandsPerSnapshot) {
@@ -108,80 +115,6 @@ TEST(MetricsExport, PrometheusLabelValuesEscapeNewlineQuoteAndBackslash) {
       << os.str();
 }
 
-TEST(MetricsExport, JsonRoundTripsThroughParser) {
-  MetricsRegistry reg;
-  reg.addCounter("packets_total", "packets", [] { return 12.0; });
-  reg.addGauge("depth", "with \"quotes\" in help", [] { return 2.5; },
-               {{"queue", "rx\"0\""}});
-  LogLinearHistogram h;
-  for (u64 v = 1; v <= 9; ++v) h.record(v);
-  reg.addSummary("lat", "latency", 1.0, [&h] { return h.snapshot(); });
-
-  std::ostringstream os;
-  reg.writeJson(os);
-  const JsonValue root = JsonParser(os.str()).parse();  // must not throw
-  EXPECT_EQ(root.at("schema").str, "adres.metrics.v1");
-  EXPECT_EQ(root.at("sequence").number, 1.0);
-  ASSERT_EQ(root.at("metrics").array.size(), 2u);
-  const JsonValue& depth = root.at("metrics").array[0];
-  EXPECT_EQ(depth.at("name").str, "depth");
-  EXPECT_EQ(depth.at("type").str, "gauge");
-  EXPECT_EQ(depth.at("labels").at("queue").str, "rx\"0\"");
-  EXPECT_EQ(depth.at("value").number, 2.5);
-  const JsonValue& pkts = root.at("metrics").array[1];
-  EXPECT_EQ(pkts.at("type").str, "counter");
-  EXPECT_EQ(pkts.at("value").number, 12.0);
-  ASSERT_EQ(root.at("summaries").array.size(), 1u);
-  const JsonValue& lat = root.at("summaries").array[0];
-  EXPECT_EQ(lat.at("count").number, 9.0);
-  EXPECT_EQ(lat.at("sum").number, 45.0);
-  EXPECT_EQ(lat.at("min").number, 1.0);
-  EXPECT_EQ(lat.at("max").number, 9.0);
-  EXPECT_EQ(lat.at("p50").number, 5.0) << "small values are bucket-exact";
-  EXPECT_TRUE(lat.hasKey("p999"));
-}
-
-TEST(MetricsExport, HistogramBucketsAreCumulative) {
-  // addHistogram renders a Prometheus histogram in text format 0.0.4, which
-  // defines no exemplars: power-of-two `le` bounds aligned with the
-  // log-linear decades and cumulative counts, nothing after the count.
-  MetricsRegistry reg;
-  LogLinearHistogram h;
-  for (u64 v = 1; v <= 8; ++v) h.record(v);
-  reg.addHistogram("lat_us", "decode latency", 1.0,
-                   [&h] { return h.snapshot(); });
-
-  std::ostringstream os;
-  reg.writePrometheus(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE lat_us histogram\n"), std::string::npos);
-  // Values 1..8 → bounds 1,2,4,8,16; cumulative counts are "values < bound".
-  EXPECT_NE(text.find("lat_us_bucket{le=\"1\"} 0\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"2\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"4\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"8\"} 7\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"16\"} 8\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"+Inf\"} 8\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_sum 36\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_count 8\n"), std::string::npos);
-  EXPECT_EQ(text.find(" # {"), std::string::npos) << "no exemplar suffix";
-
-  // The JSON exporter carries the same histogram.
-  std::ostringstream js;
-  reg.writeJson(js);
-  const JsonValue root = JsonParser(js.str()).parse();
-  ASSERT_EQ(root.at("histograms").array.size(), 1u);
-  const JsonValue& lat = root.at("histograms").array[0];
-  EXPECT_EQ(lat.at("name").str, "lat_us");
-  EXPECT_EQ(lat.at("count").number, 8.0);
-  EXPECT_EQ(lat.at("sum").number, 36.0);
-  EXPECT_FALSE(lat.hasKey("exemplars"));
-
-  // clear() drops histograms along with everything else.
-  reg.clear();
-  EXPECT_TRUE(reg.snapshot().histograms.empty());
-}
-
 TEST(MetricsServer, ReadyzReflectsTheInstalledReadinessCheck) {
   MetricsRegistry reg;
   MetricsServer server(reg, 0);
@@ -211,40 +144,6 @@ TEST(MetricsServer, ReadyzReflectsTheInstalledReadinessCheck) {
 
   server.setReadiness({});  // detach: back to optimistic
   EXPECT_EQ(httpGet("127.0.0.1", server.port(), "/readyz"), "ready\n");
-  server.stop();
-  reg.clear();
-}
-
-TEST(MetricsServer, SloEndpointServesEngineJsonOr404) {
-  MetricsRegistry reg;
-  u64 divergences = 0;
-  reg.addCounter("adres_farm_divergences_total", "t", [&] {
-    return static_cast<double>(divergences);
-  });
-  MetricsServer server(reg, 0);
-  ASSERT_GT(server.port(), 0);
-
-  std::string status;
-  EXPECT_EQ(httpGet("127.0.0.1", server.port(), "/slo", &status),
-            "no SLO engine attached\n");
-  EXPECT_NE(status.find("404"), std::string::npos);
-
-  SloEngine engine(reg, parseSloSpecList("integrity: divergences < 1"));
-  server.setSloEngine(&engine);
-  divergences = 2;
-  const std::string body = httpGet("127.0.0.1", server.port(), "/slo", &status);
-  EXPECT_NE(status.find("200"), std::string::npos);
-  const JsonValue root = JsonParser(body).parse();
-  EXPECT_EQ(root.at("schema").str, "adres.slo.v1");
-  ASSERT_EQ(root.at("slos").array.size(), 1u);
-  const JsonValue& st = root.at("slos").array[0];
-  EXPECT_EQ(st.at("name").str, "integrity");
-  EXPECT_EQ(st.at("value").number, 2.0) << "/slo evaluates live per request";
-  EXPECT_TRUE(st.at("breaching").boolean);
-
-  server.setSloEngine(nullptr);  // detach before the engine dies
-  EXPECT_EQ(httpGet("127.0.0.1", server.port(), "/slo", &status),
-            "no SLO engine attached\n");
   server.stop();
   reg.clear();
 }
@@ -296,7 +195,7 @@ TEST(MetricsServer, ServesBuildinfoAndCountsItsOwnScrapes) {
   reg.clear();
 }
 
-TEST(MetricsServer, ServesPrometheusJsonHealthAnd404OverRealHttp) {
+TEST(MetricsServer, ServesPrometheusHealthAnd404OverRealHttp) {
   MetricsRegistry reg;
   reg.addCounter("scrape_me_total", "a counter", [] { return 3.0; });
   MetricsServer server(reg, 0);  // ephemeral port
@@ -308,22 +207,92 @@ TEST(MetricsServer, ServesPrometheusJsonHealthAnd404OverRealHttp) {
   EXPECT_NE(status.find("200"), std::string::npos);
   EXPECT_NE(text.find("scrape_me_total 3\n"), std::string::npos);
 
-  const std::string body =
-      httpGet("localhost", server.port(), "/metrics.json", &status);
-  EXPECT_NE(status.find("200"), std::string::npos);
-  const JsonValue root = JsonParser(body).parse();
-  EXPECT_EQ(root.at("schema").str, "adres.metrics.v1");
-  EXPECT_EQ(root.at("metrics").array[0].at("value").number, 3.0);
+  // The Prometheus text is the only rendering: no JSON copy, no /slo.
+  EXPECT_EQ(httpGet("localhost", server.port(), "/metrics.json", &status),
+            "not found\n");
+  EXPECT_NE(status.find("404"), std::string::npos);
+  httpGet("127.0.0.1", server.port(), "/slo", &status);
+  EXPECT_NE(status.find("404"), std::string::npos);
 
   EXPECT_EQ(httpGet("127.0.0.1", server.port(), "/healthz"), "ok\n");
   httpGet("127.0.0.1", server.port(), "/nope", &status);
   EXPECT_NE(status.find("404"), std::string::npos);
-  EXPECT_GE(server.requests(), 4u);
+  EXPECT_GE(server.requests(), 5u);
 
   server.stop();
   server.stop();  // idempotent
   EXPECT_EQ(httpGet("127.0.0.1", server.port(), "/metrics"), "")
       << "stopped server no longer answers";
+}
+
+/// A client that connects, then sends its request one byte per 100 ms and
+/// never finishes the header.
+class DribblingClient {
+ public:
+  explicit DribblingClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<u16>(port));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+    thread_ = std::thread([this] {
+      const std::string req = "GET /metrics HTTP/1.0\r\nX-Slow: ";
+      for (std::size_t i = 0; !done_.load(); ++i) {
+        const char c = i < req.size() ? req[i] : 'x';
+        (void)::send(fd_, &c, 1, MSG_NOSIGNAL);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    });
+  }
+  ~DribblingClient() {
+    done_.store(true);
+    thread_.join();
+    ::close(fd_);
+  }
+  DribblingClient(const DribblingClient&) = delete;
+  DribblingClient& operator=(const DribblingClient&) = delete;
+  bool connected() const { return connected_; }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+TEST(MetricsServer, ASlowClientStallsNeitherScrapesNorStop) {
+  using Clock = std::chrono::steady_clock;
+  MetricsRegistry reg;
+  MetricsServer server(reg, 0);
+  ASSERT_GT(server.port(), 0);
+
+  {
+    // The dribbler is accepted first; the scrape queues behind it and is
+    // answered once the dribbler's request deadline has passed.
+    DribblingClient slow(server.port());
+    ASSERT_TRUE(slow.connected());
+    const auto t0 = Clock::now();
+    std::string status;
+    const std::string body =
+        httpGet("127.0.0.1", server.port(), "/healthz", &status, 3000);
+    EXPECT_EQ(body, "ok\n") << status;
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(3));
+  }
+
+  // stop() with a dribbler mid-request returns within the deadline too.
+  std::optional<DribblingClient> slow;
+  slow.emplace(server.port());
+  ASSERT_TRUE(slow->connected());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.stop(); });
+  const bool inTime =
+      stopped.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  // Without a deadline stop() returns only once the client goes away.
+  slow.reset();
+  stopped.wait();
+  EXPECT_TRUE(inTime) << "stop() blocked behind a slow client";
 }
 
 }  // namespace

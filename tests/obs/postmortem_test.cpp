@@ -23,9 +23,8 @@ std::string freshDir(const std::string& name) {
   return dir;
 }
 
-ResultRecord record(u64 cycles, bool flipBit) {
-  ResultRecord r;
-  r.valid = true;
+DecodeSummary record(u64 cycles, bool flipBit) {
+  DecodeSummary r;
   r.detected = true;
   r.ltfStart = 160;
   r.stop = "halt";
@@ -105,8 +104,7 @@ PostmortemBundle fullBundle() {
   return b;
 }
 
-void expectRecordEq(const ResultRecord& a, const ResultRecord& b) {
-  EXPECT_EQ(a.valid, b.valid);
+void expectRecordEq(const DecodeSummary& a, const DecodeSummary& b) {
   EXPECT_EQ(a.detected, b.detected);
   EXPECT_EQ(a.ltfStart, b.ltfStart);
   EXPECT_EQ(a.stop, b.stop);
@@ -154,7 +152,8 @@ TEST(PostmortemBundleIo, WriteLoadRoundTripsEveryField) {
   EXPECT_EQ(r.rx[0], b.rx[0]) << "rx payload must be sample-exact";
   EXPECT_EQ(r.rx[1], b.rx[1]);
   expectRecordEq(r.primary, b.primary);
-  expectRecordEq(r.shadow, b.shadow);
+  ASSERT_TRUE(r.shadow.has_value());
+  expectRecordEq(*r.shadow, *b.shadow);
 
   EXPECT_EQ(r.spans.traceId, b.spans.traceId);
   ASSERT_EQ(r.spans.spans.size(), b.spans.spans.size());
@@ -181,7 +180,7 @@ TEST(PostmortemBundleIo, WriteLoadRoundTripsEveryField) {
 
 TEST(PostmortemBundleIo, AShadowlessBundleRoundTripsInvalidShadow) {
   PostmortemBundle b = fullBundle();
-  b.shadow = ResultRecord{};  // valid == false: watchdog/SLO-breach bundles
+  b.shadow.reset();  // watchdog/SLO-breach bundles record no shadow
   b.shadowTier.clear();
   std::ostringstream os;
   writePostmortemJson(b, os);
@@ -189,8 +188,8 @@ TEST(PostmortemBundleIo, AShadowlessBundleRoundTripsInvalidShadow) {
       testing::TempDir() + "adres_pm_shadowless.json";
   std::ofstream(path) << os.str();
   const PostmortemBundle r = loadPostmortemBundle(path);
-  EXPECT_TRUE(r.primary.valid);
-  EXPECT_FALSE(r.shadow.valid);
+  expectRecordEq(r.primary, b.primary);
+  EXPECT_FALSE(r.shadow.has_value());
   EXPECT_EQ(r.shadowTier, "");
 }
 
@@ -221,8 +220,12 @@ TEST(PostmortemBundleIo, RawJsonMatchesTheV1Schema) {
   EXPECT_EQ(root.at("config").at("exec_tier").str, "native");
   EXPECT_EQ(root.at("config").at("num_symbols").number, 2.0);
   EXPECT_TRUE(root.hasKey("buildinfo"));
+  // The registry rides along as its Prometheus exposition, one string.
   ASSERT_TRUE(root.hasKey("metrics"));
-  EXPECT_EQ(root.at("metrics").at("schema").str, "adres.metrics.v1");
+  ASSERT_EQ(root.at("metrics").type, json::JsonValue::kString);
+  EXPECT_NE(root.at("metrics").str.find("adres_farm_divergences_total 1\n"),
+            std::string::npos)
+      << root.at("metrics").str;
   EXPECT_TRUE(root.at("primary").at("detected").boolean);
   EXPECT_EQ(root.at("rx").array.size(), 2u);
 }
@@ -279,7 +282,7 @@ TEST(PostmortemBundleIo, LoadRejectsMissingOrForeignFiles) {
   EXPECT_THROW(loadPostmortemBundle(testing::TempDir() + "adres_pm_nope.json"),
                SimError);
   const std::string foreign = testing::TempDir() + "adres_pm_foreign.json";
-  std::ofstream(foreign) << "{\"schema\": \"adres.metrics.v1\"}";
+  std::ofstream(foreign) << "{\"schema\": \"adres.counters.v1\"}";
   EXPECT_THROW(loadPostmortemBundle(foreign), SimError);
 }
 

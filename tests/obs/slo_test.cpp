@@ -1,15 +1,13 @@
 // SLO spec grammar (parse / render round-trip), SloEngine evaluation
 // against a live MetricsRegistry (burn rate, for-count de-flapping, breach
-// hook), the exported adres_slo_* series and the adres.slo.v1 JSON.
+// hook) and the exported adres_slo_* series.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/json_min.hpp"
 #include "obs/histogram.hpp"
 #include "obs/slo.hpp"
 
@@ -202,28 +200,6 @@ TEST(SloEngine, ExportsGaugeFamiliesOnTheRegistry) {
   EXPECT_TRUE(burn);
   EXPECT_TRUE(breaching);
   EXPECT_TRUE(breaches);
-}
-
-TEST(SloEngine, WriteJsonIsParsableSloV1) {
-  FakeFarm farm;
-  SloEngine engine(farm.reg,
-                   parseSloSpecList("p99: p99_latency_us < 100; "
-                                    "integrity: divergences < 1 for 2"));
-  engine.evaluate();
-  std::ostringstream os;
-  engine.writeJson(os);
-
-  json::JsonParser parser(os.str());
-  const json::JsonValue root = parser.parse();
-  EXPECT_EQ(root.at("schema").str, "adres.slo.v1");
-  const std::vector<json::JsonValue>& slos = root.at("slos").array;
-  ASSERT_EQ(slos.size(), 2u);
-  EXPECT_EQ(slos[0].at("name").str, "p99");
-  EXPECT_EQ(slos[0].at("metric").str, "p99_latency_us");
-  EXPECT_EQ(slos[1].at("for").number, 2.0);
-  // Rendered spec strings re-parse (round-trip through the grammar).
-  for (const json::JsonValue& s : slos)
-    EXPECT_NO_THROW(parseSloSpec(s.at("spec").str));
 }
 
 TEST(SloEngine, PeriodicMonitorEvaluatesOnItsOwn) {

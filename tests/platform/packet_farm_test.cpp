@@ -495,15 +495,15 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
   EXPECT_NE(slow.traceId, 0u);
   EXPECT_FALSE(slow.spans.empty());
 
-  // Prometheus exposition: the latency histogram renders its buckets, and
-  // the queue-wait summary and slowest-packet region breakdown are live.
+  // Prometheus exposition: one latency family (the summary) counts every
+  // packet, and the queue-wait summary and slowest-packet region breakdown
+  // are live.
   std::ostringstream os;
   reg.writePrometheus(os);
   const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE adres_farm_decode_latency_us histogram\n"),
+  EXPECT_NE(text.find("adres_farm_latency_host_us_count 8\n"),
             std::string::npos);
-  EXPECT_NE(text.find("adres_farm_decode_latency_us_bucket{le=\"+Inf\"} 8\n"),
-            std::string::npos);
+  EXPECT_EQ(text.find("adres_farm_decode_latency_us"), std::string::npos);
   EXPECT_NE(text.find("adres_farm_queue_wait_us{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("adres_farm_slowest_packet_region_cycles{region="),

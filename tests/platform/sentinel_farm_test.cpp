@@ -133,8 +133,8 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   EXPECT_EQ(b.faultInjectSeed, 0xBADC0DEull);
   EXPECT_EQ(b.execTier, execTierName(fc.run.exec.tier));
   EXPECT_EQ(b.shadowTier, shadowTier);
-  EXPECT_TRUE(b.shadow.valid);
-  EXPECT_NE(b.primary.bits, b.shadow.bits);
+  ASSERT_TRUE(b.shadow.has_value());
+  EXPECT_NE(b.primary.bits, b.shadow->bits);
   const ReplayReport rep = replayPostmortem(b);
   EXPECT_TRUE(rep.matchesShadow);
   EXPECT_FALSE(rep.matchesPrimary);
@@ -273,7 +273,7 @@ TEST(SentinelFarm, SloBreachCaptureFreezesTheSlowestPacket) {
   const obs::PostmortemBundle b = obs::loadPostmortemBundle(path);
   EXPECT_EQ(b.trigger, "slo_breach");
   EXPECT_EQ(b.reason, "p99 over budget");
-  EXPECT_FALSE(b.shadow.valid) << "an SLO capture has no shadow decode";
+  EXPECT_FALSE(b.shadow.has_value()) << "an SLO capture has no shadow decode";
   ASSERT_FALSE(b.rx[0].empty());
   // No-shadow bundles must re-decode to the recorded primary exactly.
   const ReplayReport rep = replayPostmortem(b);

@@ -8,6 +8,7 @@
 
 #include "dsp/channel.hpp"
 #include "sdr/modem_program.hpp"
+#include "trace/telemetry.hpp"
 
 namespace adres::sdr {
 namespace {
@@ -131,16 +132,14 @@ TEST(ModemOnProcessor, CountersJsonWriteFailureThrowsNamingThePath) {
       testing::TempDir() + "adres_counters_json_blocker";
   std::filesystem::remove_all(blocker);
   std::ofstream(blocker) << "not a directory";
-  RxRunOptions opts;
-  opts.countersJsonPath = blocker + "/modem.counters.json";
+  const std::string path = blocker + "/modem.counters.json";
   Processor proc;
+  (void)runModemOnProcessor(proc, m, rx);
   try {
-    (void)runModemOnProcessor(proc, m, rx, opts);
+    trace::writeCountersFile(proc, path);
     ADD_FAILURE() << "an unwritable counters path must throw";
   } catch (const SimError& e) {
-    EXPECT_NE(std::string(e.what()).find(opts.countersJsonPath),
-              std::string::npos)
-        << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
   std::filesystem::remove(blocker);
 }

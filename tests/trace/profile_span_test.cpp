@@ -1,8 +1,8 @@
 // Per-packet spans and the cycle-attribution profiler: trace-id hashing,
-// span-tree construction and clamping, the Chrome export, and — on a real
-// modem decode — the KernelLaunchProfile partition invariant
-// (cycles == issue + idle + stall + overhead), the adres.profile.v1 JSON
-// schema and the flamegraph folded-stacks output.
+// span-tree construction and clamping, and — on a real modem decode — the
+// KernelLaunchProfile partition invariant (cycles == issue + idle + stall +
+// overhead), the adres.profile.v1 JSON schema and the flamegraph
+// folded-stacks output.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -113,36 +113,6 @@ TEST(PacketSpans, TimestampsClampMonotone) {
   }
   EXPECT_DOUBLE_EQ(ps.queueWaitUs(), 0.0);
   EXPECT_DOUBLE_EQ(ps.decodeUs(), 0.0);
-}
-
-TEST(PacketSpans, ChromeTraceExportIsValidJsonWithTraceIds) {
-  std::vector<PacketSpans> packets;
-  packets.push_back(buildPacketSpans(1, 0, 0, 0, 1, 2, 10, 8,
-                                     {{0, 0, 8, 4}}, {"sync"}));
-  packets.push_back(buildPacketSpans(2, 0, 3, 1, 2, 3, 12, 9, {}, {}));
-  std::ostringstream os;
-  writeSpansChromeTrace(packets, os);
-  const std::string text = os.str();
-
-  const JsonValue root = JsonParser(text).parse();  // must not throw
-  const auto& events = root.at("traceEvents").array;
-  // 1 process + 2 worker metadata events, then 5 + 4 span events.
-  ASSERT_EQ(events.size(), 12u);
-  EXPECT_EQ(events[0].at("ph").str, "M");
-  EXPECT_EQ(events[0].at("args").at("name").str, "adres packet farm");
-  EXPECT_EQ(events[1].at("args").at("name").str, "worker 0");
-  EXPECT_EQ(events[2].at("args").at("name").str, "worker 3");
-  u64 xEvents = 0;
-  for (const JsonValue& e : events) {
-    if (e.at("ph").str != "X") continue;
-    ++xEvents;
-    EXPECT_EQ(e.at("pid").number, 2.0);
-    EXPECT_EQ(e.at("args").at("trace_id").str.size(), 16u);
-    EXPECT_GE(e.at("dur").number, 0.0);
-  }
-  EXPECT_EQ(xEvents, 9u);
-  EXPECT_NE(text.find("\"cat\":\"queue_wait\""), std::string::npos);
-  EXPECT_NE(text.find(traceIdHex(packets[1].traceId)), std::string::npos);
 }
 
 /// One clean QAM-64 decode with profiling + region logging enabled; shared

@@ -1,7 +1,7 @@
-// Trace & telemetry layer: ring-buffer flight recorder, Chrome / JSONL
-// exporters (validated with the shared tests/support/json_min.hpp parser),
-// the fixed counter schema, and the processor integration (events emitted
-// during a real program run, zero perturbation when the sink is detached).
+// Trace & telemetry layer: ring-buffer flight recorder, the Chrome exporter
+// (validated with the shared common/json_min.hpp parser), the fixed counter
+// schema, and the processor integration (events emitted during a real
+// program run, zero perturbation when the sink is detached).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -149,29 +149,6 @@ TEST(ChromeExport, EscapesSpecialCharactersInNames) {
         e.at("name").str == "equalize \"coeff\" calc.\n")
       found = true;
   EXPECT_TRUE(found);
-}
-
-TEST(JsonlExport, OneValidObjectPerLine) {
-  std::vector<TraceEvent> events = {
-      ev(10, TraceEventKind::kICacheMiss, 0, 0x40, 0, 20),
-      ev(31, TraceEventKind::kL1Conflict, 2, 0x880, 4),
-      ev(50, TraceEventKind::kHalt),
-  };
-  std::ostringstream os;
-  trace::writeJsonl(events, os);
-  std::istringstream in(os.str());
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue v = JsonParser(line).parse();
-    ASSERT_EQ(v.type, JsonValue::kObject);
-    ASSERT_TRUE(v.hasKey("cycle"));
-    ASSERT_TRUE(v.hasKey("kind"));
-    ASSERT_TRUE(v.hasKey("track"));
-    ++lines;
-  }
-  EXPECT_EQ(lines, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
   args.flag("stop-after-cells", "N", "exit after N cells complete this run",
             &stopAfterCells);
   args.flag("live-metrics", "PORT",
-            "serve Prometheus /metrics + /metrics.json on PORT (0=ephemeral)",
-            &metricsPort);
+            "serve Prometheus /metrics on PORT (0=ephemeral)", &metricsPort);
   args.flag("linger-ms", "N", "keep serving metrics N ms after the run",
             &lingerMs);
   args.flag("quiet", "suppress per-cell progress lines", &quiet);

@@ -85,8 +85,8 @@ int makeDemo(const std::string& path) {
   b.maxCycles = sdr::RxRunOptions{}.maxCycles;
   b.faultInjectSeed = kFaultSeed;
   b.rx = rx;
-  b.primary = obs::toRecord(primary);
-  b.shadow = obs::toRecord(shadow);
+  b.primary = primary;
+  b.shadow = shadow;
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
     std::printf("bundle: trigger=%s job=%llu worker=%d tier=%s%s%s\n",
                 b.trigger.c_str(), static_cast<unsigned long long>(b.jobId),
                 b.worker, b.execTier.c_str(),
-                b.shadow.valid ? " shadow=" : "",
-                b.shadow.valid ? b.shadowTier.c_str() : "");
+                b.shadow ? " shadow=" : "",
+                b.shadow ? b.shadowTier.c_str() : "");
     std::printf("reason: %s\n", b.reason.c_str());
     const adres::platform::ReplayReport rep =
         adres::platform::replayPostmortem(b);
