@@ -5,9 +5,9 @@
 // verifying every run is bit-exact with the 1-worker baseline.  Emits a
 // machine-readable BENCH_farm.json.
 //
-//   $ ./bench_farm [numPackets] [numSymbols] [maxWorkers] [jsonPath] \
-//         [--exec-tier TIER] [--live-metrics PORT] [--linger-ms N] \
-//         [--sentinel RATE] [--slo SPECS] [--postmortem-dir DIR] \
+//   $ ./bench_farm [numPackets] [numSymbols] [maxWorkers] [jsonPath]
+//         [--exec-tier TIER] [--live-metrics PORT] [--linger-ms N]
+//         [--sentinel RATE] [--slo SPECS] [--postmortem-dir DIR]
 //         [--sentinel-overhead-max-pct PCT]
 //
 // jsonPath defaults to BENCH_farm.json; pass "-" to skip the dump.  With
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
       slo->registerMetrics(metrics);
       slo->setBreachHook([&](const obs::SloStatus& st) {
         const std::string path = farm->capturePostmortem(
-            "slo_breach", st.spec.name + ": " + obs::sloSpecToString(st.spec));
+            "slo_breach", obs::sloSpecToString(st.spec));
         printf("   SLO BREACH [%s]: value %.3f vs threshold %.3f%s%s\n",
                st.spec.name.c_str(), st.value, st.spec.threshold,
                path.empty() ? "" : " -> ", path.c_str());

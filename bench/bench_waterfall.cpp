@@ -2,7 +2,7 @@
 // the committed EXPERIMENTS.md "Waterfall" table via the campaign engine
 // (src/campaign).
 //
-//   $ ./bench_waterfall [--workers N] [--md PATH] [--json PATH] \
+//   $ ./bench_waterfall [--workers N] [--md PATH] [--json PATH]
 //         [--fading] [--max-trials N] [--live-metrics PORT]
 //
 // The primary grid is the flat (identity-gain) channel — AWGN + 10 ppm CFO

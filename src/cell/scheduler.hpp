@@ -21,8 +21,8 @@
 //   overrun — the decode's own cycle budget (deadline in cycles, carried
 //             per-job via RxJob::maxCycles) is exhausted: the decode stops
 //             with StopReason::kMaxCycles and flows through the watchdog's
-//             budget path (kBudgetExhausted health events) — the cell layer
-//             reuses the farm's cancel machinery instead of inventing one.
+//             budget path (kBudgetExhausted health events) — the budget is
+//             the farm's one early stop, so the cell layer adds none.
 //   late    — served to completion, but past the deadline.
 // All three are misses and drops.  On-time packets split into delivered
 // (bit-exact payload) and errors (channel defeated the decoder).  Every

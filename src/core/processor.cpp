@@ -14,7 +14,6 @@ const char* stopReasonName(StopReason r) {
     case StopReason::kMaxCycles: return "max_cycles";
     case StopReason::kExternalStall: return "external_stall";
     case StopReason::kOffEnd: return "off_end";
-    case StopReason::kCancelled: return "cancelled";
   }
   return "unknown";
 }

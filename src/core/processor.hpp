@@ -32,7 +32,6 @@ enum class StopReason {
   kMaxCycles,      ///< cycle budget exhausted
   kExternalStall,  ///< external stall asserted
   kOffEnd,         ///< fetched past the last bundle (missing halt)
-  kCancelled,      ///< aborted by a supervisor (watchdog cancel request)
 };
 
 /// Stable lower_snake label for a stop reason (health events, metrics).

@@ -11,6 +11,10 @@ namespace {
 /// Flight-recorder depth of the divergence re-decode (the bundle's ring).
 constexpr std::size_t kRingCapacity = 4096;
 
+/// Mixed into the sampling hash: the audited subset is a pure function of
+/// the trace id.
+constexpr u64 kSampleSeed = 0x51DE'C0DEull;
+
 }  // namespace
 
 const char* integrityEventKindName(IntegrityEvent::Kind k) {
@@ -101,7 +105,7 @@ DivergenceSentinel::DivergenceSentinel(SentinelConfig cfg,
 bool DivergenceSentinel::shouldSample(u64 traceId) const {
   if (!cfg_.enabled || sampleThreshold_ == 0) return false;
   if (sampleThreshold_ == ~0ull) return true;
-  return mix64(traceId ^ cfg_.seed) < sampleThreshold_;
+  return mix64(traceId ^ kSampleSeed) < sampleThreshold_;
 }
 
 std::optional<IntegrityEvent> DivergenceSentinel::audit(

@@ -42,11 +42,9 @@ namespace adres::obs {
 struct SentinelConfig {
   bool enabled = false;
   /// Fraction of packets shadow-decoded, in [0,1].  The decision is a pure
-  /// function of (trace id, seed): sampleRate 1.0 audits every packet.
+  /// function of the trace id (hashed with a fixed seed): sampleRate 1.0
+  /// audits every packet.
   double sampleRate = 0.01;
-  /// Mixed into the sampling hash; changing it selects a different (still
-  /// deterministic) packet subset.
-  u64 seed = 0x51DE'C0DEull;
 };
 
 /// Everything of one decode the sentinel compares — a tier-agnostic summary

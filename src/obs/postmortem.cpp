@@ -1,5 +1,6 @@
 #include "obs/postmortem.hpp"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -215,12 +216,13 @@ PostmortemWriter::PostmortemWriter(PostmortemConfig cfg) : cfg_(std::move(cfg)) 
 }
 
 std::string PostmortemWriter::write(const PostmortemBundle& b) {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    path = cfg_.dir + "/postmortem_" + trace::traceIdHex(b.traceId) + "_" +
-           std::to_string(fileSeq_++) + ".json";
-  }
+  // One sequence for the whole process, so writers that share a directory
+  // (one farm per bench_farm row) never reuse a file name.
+  static std::atomic<u64> fileSeq{0};
+  const std::string path =
+      cfg_.dir + "/postmortem_" + trace::traceIdHex(b.traceId) + "_" +
+      std::to_string(fileSeq.fetch_add(1, std::memory_order_relaxed)) +
+      ".json";
   // Written outside the lock: the embedded metrics snapshot may read
   // written() through a registered getter.
   if (!writeFileAtomic(path, [&](std::ostream& os) {

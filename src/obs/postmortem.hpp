@@ -1,15 +1,15 @@
 // Replayable postmortem bundles (`adres.postmortem.v1`, DESIGN.md §16).
 //
-// When the self-auditing runtime trips — a sentinel divergence, a watchdog
-// cancellation/budget exhaustion, or an SLO breach — a farm with capture on
+// When the self-auditing runtime trips — a sentinel divergence, a decode
+// that stopped without halting, or an SLO breach — a farm with capture on
 // freezes the whole incident into one atomic JSON file: the exact rx
 // payload, modem configuration and cycle budget needed to re-run the packet
 // (the black box *and* the flight), both decode results with their
 // per-region counter partitions, the span tree, the shadow decode's
 // flight-recorder ring, the registry's Prometheus exposition and the build
 // identity.
-// `tools/postmortem_replay` re-decodes a bundle standalone and confirms (or
-// refutes) the recorded failure.
+// `tools/postmortem_replay` re-runs each recorded decode by its own recipe
+// and confirms (or refutes) the recorded failure.
 //
 // Writes are atomic (writeFileAtomic: tmp file + rename) and the store is
 // bounded (oldest-evicted).  64-bit values that do not survive a double
@@ -38,7 +38,11 @@ struct PostmortemConfig {
   /// Off, the farm writes no file and creates no directory.
   bool enabled = false;
   std::string dir = "postmortems";  ///< store directory (created on demand)
-  std::size_t maxBundles = 16;      ///< bound on retained bundle files
+  /// Bound on the bundle files this writer retains (oldest evicted first).
+  /// Each writer bounds only its own files; writers sharing a directory
+  /// never overwrite one another's (file names carry a process-wide
+  /// sequence number).
+  std::size_t maxBundles = 16;
   /// Registry whose Prometheus exposition is embedded in each bundle (the
   /// "metrics" string); null skips it.  Must outlive the writer.
   const MetricsRegistry* metrics = nullptr;
@@ -61,11 +65,13 @@ struct PostmortemBundle {
   /// Cycle budget the recorded decodes ran under: the packet's per-job cap
   /// when tighter than the farm's run budget.
   u64 maxCycles = 0;
-  u64 faultInjectSeed = 0;  ///< RxRunOptions::faultInjectBitFlipSeed (0 = off)
+  /// The primary decode's RxRunOptions::faultInjectBitFlipSeed (0 = off);
+  /// the shadow decode never carries one.
+  u64 faultInjectSeed = 0;
   std::array<std::vector<cint16>, 2> rx;
 
-  DecodeSummary primary;                ///< the serving-path decode
-  std::optional<DecodeSummary> shadow;  ///< the sentinel's shadow decode
+  DecodeSummary primary;                ///< the serving-path decode (execTier)
+  std::optional<DecodeSummary> shadow;  ///< the sentinel's (shadowTier)
 
   trace::PacketSpans spans;      ///< span tree (may be empty)
   std::vector<TraceEvent> ring;  ///< flight-recorder ring of the shadow redo
@@ -109,7 +115,6 @@ class PostmortemWriter {
   std::vector<std::string> paths_;  ///< retained files, oldest first
   u64 written_ = 0;
   u64 evicted_ = 0;
-  u64 fileSeq_ = 0;
 };
 
 }  // namespace adres::obs

@@ -9,9 +9,7 @@ namespace adres::obs {
 const char* healthEventKindName(HealthEvent::Kind k) {
   switch (k) {
     case HealthEvent::Kind::kStalled: return "stalled";
-    case HealthEvent::Kind::kOverBudget: return "over_budget";
     case HealthEvent::Kind::kBudgetExhausted: return "budget_exhausted";
-    case HealthEvent::Kind::kCancelled: return "cancelled";
   }
   return "unknown";
 }
@@ -46,11 +44,9 @@ void WorkerWatchdog::stop() {
 
 void WorkerWatchdog::noteDecodeEnd(int worker, u64 jobId, StopReason stop,
                                    u64 cycles) {
-  if (stop != StopReason::kMaxCycles && stop != StopReason::kCancelled) return;
+  if (stop != StopReason::kMaxCycles) return;
   HealthEvent ev;
-  ev.kind = stop == StopReason::kMaxCycles
-                ? HealthEvent::Kind::kBudgetExhausted
-                : HealthEvent::Kind::kCancelled;
+  ev.kind = HealthEvent::Kind::kBudgetExhausted;
   ev.worker = worker;
   ev.jobId = jobId;
   ev.cycles = cycles;
@@ -98,7 +94,6 @@ void WorkerWatchdog::pollOnce(std::vector<Observed>& obs,
       o.lastJob = WorkerHealth::kNoJob;
       o.lastProgress = now;
       o.stallReported = false;
-      o.budgetReported = false;
       continue;
     }
     const u64 job = h.currentJob.load(std::memory_order_relaxed);
@@ -108,7 +103,6 @@ void WorkerWatchdog::pollOnce(std::vector<Observed>& obs,
       o.lastBeat = beat;
       o.lastProgress = now;
       o.stallReported = false;
-      o.budgetReported = false;
     } else if (beat != o.lastBeat) {
       o.lastBeat = beat;
       o.lastProgress = now;
@@ -128,22 +122,7 @@ void WorkerWatchdog::pollOnce(std::vector<Observed>& obs,
       std::ostringstream os;
       os << "worker " << i << " job " << job << " made no progress for "
          << static_cast<long>(idleMs) << " ms (heartbeat " << beat
-         << " cycles)" << (cfg_.cancelStalled ? "; cancelling" : "");
-      ev.detail = os.str();
-      emit(std::move(ev));
-      if (cfg_.cancelStalled) h.cancel.store(1, std::memory_order_relaxed);
-    }
-    if (!o.budgetReported && cfg_.softBudgetCycles > 0 &&
-        beat > cfg_.softBudgetCycles) {
-      o.budgetReported = true;
-      HealthEvent ev;
-      ev.kind = HealthEvent::Kind::kOverBudget;
-      ev.worker = static_cast<int>(i);
-      ev.jobId = job;
-      ev.cycles = beat;
-      std::ostringstream os;
-      os << "worker " << i << " job " << job << " passed the soft budget ("
-         << beat << " > " << cfg_.softBudgetCycles << " cycles)";
+         << " cycles)";
       ev.detail = os.str();
       emit(std::move(ev));
     }

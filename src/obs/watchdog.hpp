@@ -2,19 +2,16 @@
 //
 // Each worker owns a `WorkerHealth` record of lock-free atomics: the decode
 // heartbeat (simulated-cycle counter published by the sliced modem run, see
-// RxRunOptions::progressCycles), the current job, a coarse state, and a
-// cancel flag the run loop polls.  A monitor thread samples the records
-// every pollMs and turns anomalies into structured `HealthEvent`s instead
-// of silent hangs:
+// RxRunOptions::progressCycles), the current job and a coarse state.  A
+// monitor thread samples the records every pollMs and turns anomalies into
+// structured `HealthEvent`s instead of silent hangs:
 //
 //   kStalled          busy worker whose heartbeat stopped advancing for
-//                     stallTimeoutMs (optionally auto-cancelled so the farm
-//                     can finish and report the packet with
-//                     StopReason::kCancelled)
-//   kOverBudget       a decode's cycle count crossed softBudgetCycles while
-//                     still running (early warning, decode continues)
+//                     stallTimeoutMs (reported once per stall)
 //   kBudgetExhausted  a decode ended with StopReason::kMaxCycles
-//   kCancelled        a decode ended with StopReason::kCancelled
+//
+// The watchdog observes and never intervenes: a decode's only early stop
+// is its cycle budget (RxJob::maxCycles / RxRunOptions::maxCycles).
 //
 // Events are collected under a mutex (events() copies them out);
 // eventCount() is lock-free for metrics.
@@ -38,24 +35,20 @@ struct WatchdogConfig {
   bool enabled = true;
   int pollMs = 100;            ///< monitor sampling period
   int stallTimeoutMs = 5000;   ///< busy + no heartbeat advance -> stalled
-  u64 softBudgetCycles = 0;    ///< warn when a decode crosses this (0 = off)
-  bool cancelStalled = false;  ///< set the stalled worker's cancel flag
 };
 
 enum class WorkerState : u32 { kIdle = 0, kBusy = 1, kDone = 2 };
 
-/// Shared per-worker record: written by the worker (and the watchdog's
-/// cancel), read by the monitor and the metrics scraper.
+/// Shared per-worker record: written by the worker, read by the monitor
+/// and the metrics scraper.
 struct WorkerHealth {
   static constexpr u64 kNoJob = ~0ull;
 
   std::atomic<u64> heartbeatCycles{0};  ///< sim cycles of the current decode
   std::atomic<u64> currentJob{kNoJob};
   std::atomic<u32> state{static_cast<u32>(WorkerState::kIdle)};
-  std::atomic<u32> cancel{0};  ///< polled by the sliced run; non-zero aborts
 
   void beginJob(u64 jobId) {
-    cancel.store(0, std::memory_order_relaxed);
     heartbeatCycles.store(0, std::memory_order_relaxed);
     currentJob.store(jobId, std::memory_order_relaxed);
     state.store(static_cast<u32>(WorkerState::kBusy),
@@ -69,7 +62,7 @@ struct WorkerHealth {
 };
 
 struct HealthEvent {
-  enum class Kind { kStalled, kOverBudget, kBudgetExhausted, kCancelled };
+  enum class Kind { kStalled, kBudgetExhausted };
 
   Kind kind = Kind::kStalled;
   int worker = -1;
@@ -101,8 +94,8 @@ class WorkerWatchdog {
   /// Stops and joins the monitor.  Idempotent; safe without start().
   void stop();
 
-  /// Worker-side classification of a finished decode: emits
-  /// kBudgetExhausted / kCancelled events.  Thread-safe.
+  /// Worker-side classification of a finished decode: emits a
+  /// kBudgetExhausted event for a kMaxCycles stop.  Thread-safe.
   void noteDecodeEnd(int worker, u64 jobId, StopReason stop, u64 cycles);
 
   std::vector<HealthEvent> events() const;
@@ -114,7 +107,6 @@ class WorkerWatchdog {
     u64 lastJob = WorkerHealth::kNoJob;
     std::chrono::steady_clock::time_point lastProgress{};
     bool stallReported = false;
-    bool budgetReported = false;
   };
 
   void monitorLoop();

@@ -16,12 +16,9 @@ void FarmStats::writeJson(std::ostream& os) const {
 PacketFarm::PacketFarm(FarmConfig cfg)
     : cfg_(std::move(cfg)), queue_(cfg_.queueCapacity) {
   ADRES_CHECK(cfg_.numWorkers >= 1, "farm needs at least one worker");
-  // Per-worker sinks would interleave into one file; aggregates come from
-  // stats() instead.
-  cfg_.run.trace = nullptr;
+  // Heartbeats and region logs are per worker, wired in workerMain.
   cfg_.run.progressCycles = nullptr;
-  cfg_.run.cancel = nullptr;
-  cfg_.run.regionLog = nullptr;  // per-worker logs are wired in workerMain
+  cfg_.run.regionLog = nullptr;
   if (cfg_.postmortem.enabled)
     postmortems_ = std::make_unique<obs::PostmortemWriter>(cfg_.postmortem);
   workerStats_.resize(static_cast<std::size_t>(cfg_.numWorkers));
@@ -35,19 +32,20 @@ PacketFarm::PacketFarm(FarmConfig cfg)
   // race on the expensive first build and startup cost is paid once.
   modem_ = modemProgramFor(cfg_.modem);
   if (cfg_.sentinel.enabled) {
-    shadowProc_ = std::make_unique<Processor>();
+    // The shadow decodes clean (no fault seed) on the other tier, each
+    // audit under its packet's budget.  Its session pays the one cold
+    // program load here rather than in the first audit, which would stall
+    // its worker for it.
+    sdr::RxRunOptions shadowRun;
+    shadowRun.exec.tier = obs::shadowTierFor(cfg_.run.exec.tier);
+    shadow_ = std::make_unique<RxSession>(cfg_.modem, shadowRun);
     sentinel_ = std::make_unique<obs::DivergenceSentinel>(
         cfg_.sentinel, cfg_.run.exec.tier,
         [this](const obs::DecodedPacket& p, TraceSink* trace) {
-          return shadowDecode(p, trace);
+          sdr::ProcessorRxResult res;
+          shadow_->decodeInto(p.rx, res, p.maxCycles, trace);
+          return shadow_->summarize(res);
         });
-    // Pay the shadow's one cold program load here rather than in the first
-    // audit, which would stall its worker for it: every audit then takes
-    // the warm-reload path.
-    shadowExec_.tier = sentinel_->shadowTier();
-    shadowExec_.plans = modem_->plansFor(shadowExec_.tier);
-    shadowExec_.warmReload = true;
-    shadowProc_->load(modem_->program, shadowExec_);
     if (postmortems_) {
       sentinel_->setBundleFn([this](const obs::IntegrityEvent& ev,
                                     const obs::DecodedPacket& p,
@@ -185,17 +183,6 @@ obs::HistogramSnapshot PacketFarm::queueWaitSnapshot() const {
 PacketFarm::SlowestPacket PacketFarm::slowestPacket() const {
   std::lock_guard<std::mutex> lk(slowMu_);
   return slowest_;
-}
-
-obs::DecodeSummary PacketFarm::shadowDecode(const obs::DecodedPacket& p,
-                                            TraceSink* trace) {
-  sdr::RxRunOptions opts;
-  opts.maxCycles = p.maxCycles;
-  opts.exec = shadowExec_;
-  opts.trace = trace;
-  sdr::ProcessorRxResult res;
-  sdr::runModemOnProcessor(*shadowProc_, *modem_, p.rx, opts, res);
-  return summarizeDecode(res, *shadowProc_);
 }
 
 obs::PostmortemBundle PacketFarm::bundleFor(
@@ -404,17 +391,14 @@ void PacketFarm::workerMain(int idx) {
   obs::WorkerHealth& health = watchdog_->health(idx);
   WorkerTelemetry& tele = *telemetry_[static_cast<std::size_t>(idx)];
   sdr::RxRunOptions opts = cfg_.run;
-  if (cfg_.watchdog.enabled) {
-    opts.progressCycles = &health.heartbeatCycles;
-    opts.cancel = &health.cancel;
-  }
+  if (cfg_.watchdog.enabled) opts.progressCycles = &health.heartbeatCycles;
   // Span recording fills the region log, which (like run.profile's kernel
   // profiler) keeps the CGA fast path.
   std::vector<RegionSpan> regionLog;
   if (cfg_.spans) opts.regionLog = &regionLog;
   RxSession session(cfg_.modem, opts);
-  // Session built: program fetched from the cache, plans resolved — this
-  // worker can take traffic (the /readyz source).
+  // Session built: program fetched from the cache, plans resolved, program
+  // loaded — this worker can take traffic (the /readyz source).
   workersReady_.fetch_add(1, std::memory_order_release);
   const auto epochUs = [this] {
     return std::chrono::duration<double, std::micro>(
@@ -430,9 +414,15 @@ void PacketFarm::workerMain(int idx) {
     out.id = job->id;
     out.worker = idx;
     out.result.bits = bitPool_.acquire();  // recycled decoded-bit capacity
+    // The packet's cycle budget, computed once: the decode, the sentinel's
+    // audit and every bundle run under it.  A per-job cap only ever
+    // tightens the farm's.
+    const u64 budget = job->maxCycles != 0
+                           ? std::min(job->maxCycles, cfg_.run.maxCycles)
+                           : cfg_.run.maxCycles;
     const double decodeStartUs = epochUs();
     const auto t0 = Clock::now();
-    session.decodeInto(job->rx, out.result, job->maxCycles);
+    session.decodeInto(job->rx, out.result, budget);
     const double ns =
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
     const double decodeEndUs = decodeStartUs + ns / 1000.0;
@@ -467,15 +457,10 @@ void PacketFarm::workerMain(int idx) {
           session.modem().program.regionNames);
     }
     // Self-auditing: summarize the primary decode once for whichever of the
-    // sentinel audit / failure bundle / slowest-packet retention needs it,
-    // with the budget the decode ran under (as RxSession applies it: a
-    // per-job cap only ever tightens the farm's).
-    const u64 budget = job->maxCycles != 0
-                           ? std::min(job->maxCycles, cfg_.run.maxCycles)
-                           : cfg_.run.maxCycles;
+    // sentinel audit / failure bundle / slowest-packet retention needs it.
     obs::DecodeSummary primary;
     if (retainPayload) {
-      primary = summarizeDecode(out.result, session.processor());
+      primary = session.summarize(out.result);
       const obs::DecodedPacket pkt{job->id, job->tag, idx,     out.traceId,
                                    budget,  job->rx,  primary, spans};
       if (auditThis) (void)sentinel_->audit(pkt);

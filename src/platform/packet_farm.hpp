@@ -3,9 +3,9 @@
 // throughput claim a measurable, scalable axis instead of a single-packet
 // anecdote.
 //
-// Each worker thread owns a private Processor + RxSession (no simulator
-// state is shared; the mapped program is shared read-only through the
-// program cache), pulls RxJobs from a bounded MPMC queue (backpressure
+// Each worker thread owns a private RxSession (no simulator state is
+// shared; the mapped program is shared read-only through the program
+// cache), pulls RxJobs from a bounded MPMC queue (backpressure
 // toward the submitter) and records RxOutcomes.  finish() closes the queue,
 // drains it — accepted jobs are never dropped — joins the workers, and
 // merges every worker's counter totals into one adres.counters.v1 aggregate
@@ -21,8 +21,8 @@
 // can be scraped mid-flight by the embedded MetricsServer with zero effect
 // on decoded output.  A
 // WorkerWatchdog supervises decode heartbeats and turns stalls and budget
-// overruns into structured HealthEvents (optionally cancelling the decode)
-// instead of silent hangs.
+// exhaustion into structured HealthEvents instead of silent hangs; a
+// decode's only early stop is its cycle budget.
 #pragma once
 
 #include <condition_variable>
@@ -53,10 +53,12 @@ struct RxJob {
   std::array<std::vector<cint16>, 2> rx;
   double enqueueUs = 0;  ///< host µs on the farm epoch; set by submit()
   /// Per-job simulated-cycle budget; 0 = the farm default (FarmConfig::run).
-  /// A decode that exhausts it stops with StopReason::kMaxCycles and flows
-  /// through the watchdog's budget-overrun path (kBudgetExhausted health
-  /// events) — the cell layer's deadline enforcement: cycles the packet may
-  /// not spend are cycles it never simulates.
+  /// It only ever tightens the farm's budget, and the effective value is
+  /// what the decode, the sentinel's audit and every bundle run under.  A
+  /// decode that exhausts it stops with StopReason::kMaxCycles and flows
+  /// through the watchdog's budget path (kBudgetExhausted health events) —
+  /// the cell layer's deadline enforcement: cycles the packet may not spend
+  /// are cycles it never simulates.
   u64 maxCycles = 0;
 };
 
@@ -81,11 +83,11 @@ struct FarmConfig {
   bool ordered = true;
   /// Per-packet run options.  trace is ignored by the farm (per-worker sinks
   /// would interleave); use stats() for aggregates.
-  /// The supervision fields (progressCycles/cancel) are overwritten with
-  /// the per-worker health records when the watchdog is enabled.
+  /// progressCycles is overwritten with the worker's heartbeat when the
+  /// watchdog is enabled.
   /// run.profile folds per-launch cycle attribution into FarmStats::profile.
   sdr::RxRunOptions run;
-  /// Worker health supervision (stall detection, budget warnings).
+  /// Worker health supervision (stall detection, budget-exhaustion events).
   obs::WatchdogConfig watchdog;
   /// Record a span tree per packet (returned in RxOutcome::spans).  Uses the
   /// region-span log, not a TraceSink, so decodes stay on the fast path and
@@ -95,9 +97,9 @@ struct FarmConfig {
   /// Online divergence sentinel: deterministically sampled packets are
   /// shadow-decoded on the exec tier `run.exec.tier` does not use, under
   /// the packet's own cycle budget, and compared bit/cycle/counter-wise
-  /// (DESIGN.md §16).  The shadow decoder is farm-private and serialized,
-  /// so primary decode results are unaffected; sampled packets pay one
-  /// extra (shadow-tier) decode of host time.
+  /// (DESIGN.md §16).  The shadow is a farm-private RxSession serialized by
+  /// the sentinel, so primary decode results are unaffected; sampled
+  /// packets pay one extra (shadow-tier) decode of host time.
   obs::SentinelConfig sentinel;
   /// Postmortem bundle capture, the one switch for bundles: when enabled,
   /// the farm retains the slowest packet's payload and writes
@@ -224,8 +226,8 @@ class PacketFarm {
   std::string capturePostmortem(const std::string& trigger,
                                 const std::string& reason);
 
-  /// Readiness: true once every worker has built its session (program cache
-  /// populated, plans resolved) — the /readyz source.  On false, `reason`
+  /// Readiness: true once every worker has built its session (program
+  /// fetched, plans resolved, program loaded) — the /readyz source.  On false, `reason`
   /// (when non-null) describes what is still warming.
   bool ready(std::string* reason = nullptr) const;
 
@@ -287,10 +289,6 @@ class PacketFarm {
   };
 
   void workerMain(int idx);
-  /// The sentinel's ShadowDecodeFn target: one serialized decode on the
-  /// sentinel's shadow tier (callers hold the sentinel lock).
-  obs::DecodeSummary shadowDecode(const obs::DecodedPacket& p,
-                                  TraceSink* trace);
   /// The bundle of one packet, shared by every trigger path.
   obs::PostmortemBundle bundleFor(const std::string& trigger,
                                   const std::string& reason,
@@ -305,15 +303,11 @@ class PacketFarm {
   BufferPool<u8> bitPool_;
   std::unique_ptr<obs::WorkerWatchdog> watchdog_;
   std::unique_ptr<obs::PostmortemWriter> postmortems_;
-  /// The shared mapped program: region names for stats(), and the program
-  /// the shadow decoder runs.
+  /// The shared mapped program: region names for stats().
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
-  /// Held-back shadow decoder (farm-private; calls serialized by the
-  /// sentinel).
-  std::unique_ptr<Processor> shadowProc_;
-  /// The shadow decoder's policy: the held-back tier's shared plans, warm
-  /// reload armed (the constructor pays the one cold load).
-  ExecPolicy shadowExec_;
+  /// The sentinel's shadow decoder: a session on the held-back tier
+  /// (farm-private; calls serialized by the sentinel).
+  std::unique_ptr<RxSession> shadow_;
   std::unique_ptr<obs::DivergenceSentinel> sentinel_;
   std::atomic<int> workersReady_{0};  ///< workers whose session is built
   std::vector<std::unique_ptr<WorkerTelemetry>> telemetry_;

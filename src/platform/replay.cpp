@@ -1,32 +1,27 @@
 #include "platform/replay.hpp"
 
-#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "platform/rx_session.hpp"
+#include "trace/span.hpp"
 
 namespace adres::platform {
 namespace {
 
-obs::DecodeSummary decodeOnce(const sdr::ModemOnProcessor& modem,
-                              const obs::PostmortemBundle& b, ExecTier tier,
-                              u64 faultSeed) {
-  Processor proc;
+/// Re-decodes the bundle's rx payload by one record's recipe.
+obs::DecodeSummary redecode(const obs::PostmortemBundle& b,
+                            const std::string& tier, u64 faultSeed) {
+  dsp::ModemConfig cfg;
+  cfg.mod = static_cast<dsp::Modulation>(b.modulation);
+  cfg.numSymbols = b.numSymbols;
   sdr::RxRunOptions opts;
-  if (b.maxCycles != 0) opts.maxCycles = b.maxCycles;
-  opts.exec.tier = tier;
-  opts.exec.plans = modem.plansFor(tier);
+  opts.maxCycles = b.maxCycles;
+  opts.exec.tier = parseExecTier(tier);
   opts.faultInjectBitFlipSeed = faultSeed;
-  return summarizeDecode(sdr::runModemOnProcessor(proc, modem, b.rx, opts),
-                         proc);
-}
-
-/// Result identity as the sentinel defines it: payload bits, result
-/// metadata and the simulated cycle count.
-bool sameDecode(const obs::DecodeSummary& a, const obs::DecodeSummary& b) {
-  return a.detected == b.detected && a.ltfStart == b.ltfStart &&
-         a.stop == b.stop && a.cycles == b.cycles && a.bits == b.bits;
+  RxSession session(cfg, opts);
+  return session.summarize(session.decode(b.rx));
 }
 
 }  // namespace
@@ -34,59 +29,51 @@ bool sameDecode(const obs::DecodeSummary& a, const obs::DecodeSummary& b) {
 ReplayReport replayPostmortem(const obs::PostmortemBundle& b) {
   ADRES_CHECK(!b.rx[0].empty() && !b.rx[1].empty(),
               "bundle carries no rx payload — nothing to replay");
-  dsp::ModemConfig cfg;
-  cfg.mod = static_cast<dsp::Modulation>(b.modulation);
-  cfg.numSymbols = b.numSymbols;
-  const std::shared_ptr<const sdr::ModemOnProcessor> modem =
-      modemProgramFor(cfg);
-  const ExecTier tier = parseExecTier(b.execTier);
-
   ReplayReport rep;
-  rep.replay = decodeOnce(*modem, b, tier, 0);
-  if (b.faultInjectSeed != 0)
-    rep.faultReplay = decodeOnce(*modem, b, tier, b.faultInjectSeed);
-  rep.matchesPrimary = sameDecode(rep.replay, b.primary);
-  rep.matchesShadow = b.shadow && sameDecode(rep.replay, *b.shadow);
-  rep.faultReproducesPrimary =
-      rep.faultReplay && sameDecode(*rep.faultReplay, b.primary);
+  std::string findings;  // why the bundle is inconsistent
+  const auto note = [&findings](const std::string& s) {
+    findings += (findings.empty() ? "" : "; ") + s;
+  };
+
+  const obs::DecodeSummary primary =
+      redecode(b, b.execTier, b.faultInjectSeed);
+  const std::optional<obs::IntegrityEvent> primaryDiff =
+      obs::compareDecodes(b.primary, primary);
+  rep.primaryReproduced = !primaryDiff;
+  if (primaryDiff) {
+    note("the primary record does not reproduce on " + b.execTier +
+         " (fault seed " + trace::traceIdHex(b.faultInjectSeed) +
+         ", record vs replay: " + primaryDiff->detail + ")");
+  }
+  std::optional<obs::IntegrityEvent> divergence;
+  if (b.shadow) {
+    const std::optional<obs::IntegrityEvent> shadowDiff =
+        obs::compareDecodes(*b.shadow, redecode(b, b.shadowTier, 0));
+    rep.shadowReproduced = !shadowDiff;
+    if (shadowDiff) {
+      note("the shadow record does not reproduce on " + b.shadowTier +
+           " (record vs replay: " + shadowDiff->detail + ")");
+    }
+    divergence = obs::compareDecodes(b.primary, *b.shadow);
+    rep.recordsDiffer = divergence.has_value();
+    if (!divergence)
+      note("divergence REFUTED: primary and shadow records are identical");
+  }
+  rep.consistent = rep.primaryReproduced &&
+                   (!b.shadow || (rep.shadowReproduced && rep.recordsDiffer));
 
   std::ostringstream v;
-  if (b.shadow) {
-    // A divergence bundle: the clean replay is the arbiter.  It must side
-    // with the shadow decode AND against the recorded primary — and when
-    // the incident was a planted fault, the recorded seed must re-corrupt
-    // the decode into exactly the recorded primary.
-    rep.consistent = rep.matchesShadow && !rep.matchesPrimary;
-    if (b.faultInjectSeed != 0)
-      rep.consistent = rep.consistent && rep.faultReproducesPrimary;
-    if (rep.consistent) {
-      v << "divergence CONFIRMED: clean replay matches the shadow decode, "
-           "recorded primary diverges";
-      if (b.faultInjectSeed != 0)
-        v << "; the recorded fault seed reproduces the primary's corruption";
-    } else if (rep.matchesPrimary && rep.matchesShadow) {
-      v << "divergence REFUTED: primary and shadow records are identical";
-    } else if (rep.matchesPrimary) {
-      v << "divergence NOT reproduced: clean replay matches the recorded "
-           "primary, not the shadow";
-    } else if (!rep.matchesShadow) {
-      v << "replay INCONSISTENT: clean replay matches neither recorded "
-           "decode";
-    } else {
-      v << "divergence reproduced, but the recorded fault seed does not "
-           "re-create the primary's corruption";
-    }
+  if (!rep.consistent) {
+    v << "replay INCONSISTENT: " << findings;
+  } else if (b.shadow) {
+    v << "divergence CONFIRMED: both recorded decodes reproduce by their own "
+         "recipes and differ ("
+      << divergence->detail << ')';
   } else {
-    // Watchdog / SLO-breach bundles record only the serving-path decode;
-    // determinism demands the replay land on it exactly.
-    rep.consistent = rep.matchesPrimary;
-    v << (rep.consistent
-              ? "recorded decode REPRODUCED bit- and cycle-exactly"
-              : "replay INCONSISTENT: re-decode differs from the recorded "
-                "primary");
+    v << "recorded decode REPRODUCED bit-, cycle- and counter-exactly";
   }
-  v << " (replay: stop=" << rep.replay.stop << " cycles=" << rep.replay.cycles
-    << " bits=" << rep.replay.bits.size() << ")";
+  v << " (primary replay: stop=" << primary.stop
+    << " cycles=" << primary.cycles << " bits=" << primary.bits.size() << ')';
   rep.verdict = v.str();
   return rep;
 }

@@ -1,23 +1,19 @@
-// Postmortem replay: re-decodes an adres.postmortem.v1 bundle standalone —
-// fresh Processor, program rebuilt from the recorded modem configuration,
-// the recorded rx payload — and checks the result against the bundle's
-// recorded decodes (DESIGN.md §16).
+// Postmortem replay: re-runs every decode an adres.postmortem.v1 bundle
+// records, each by its own recipe, and judges the bundle (DESIGN.md §16).
 //
-// Because every decode is a deterministic function of (waveform, config,
-// tier), the verdict is sharp:
-//  - With a shadow decode recorded (a sentinel divergence bundle), the
-//    clean replay must reproduce the SHADOW result bit- and cycle-exactly,
-//    and re-running with the recorded fault seed must reproduce the
-//    PRIMARY's corrupted bits — i.e. the bundle demonstrably contains a
-//    real, reproducible divergence.
-//  - Without a shadow (watchdog / SLO-breach bundles), the clean replay
-//    must reproduce the recorded primary (or, for a budget-truncated
-//    primary, at least decode consistently under the same budget).
+// A decode is a deterministic function of its recipe: the rx payload, the
+// modem configuration, the cycle budget, the exec tier and the fault seed.
+// The primary record was decoded on the bundle's `exec_tier` with its
+// recorded fault seed; the shadow record (divergence bundles only) on
+// `shadow_tier` with none.  Replay re-decodes each record through an
+// RxSession built from that recipe and compares it with the record by
+// obs::compareDecodes — bits, result, cycles and the counter partition, the
+// sentinel's own comparison.  A bundle is consistent when every recorded
+// decode reproduces and, for a divergence bundle, the two records differ.
 //
 // tools/postmortem_replay is a thin CLI over replayPostmortem().
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "obs/postmortem.hpp"
@@ -25,20 +21,18 @@
 namespace adres::platform {
 
 struct ReplayReport {
-  obs::DecodeSummary replay;  ///< the clean re-decode of the bundle's rx
-  /// Fault-seeded re-decode (present when the bundle carries a fault seed).
-  std::optional<obs::DecodeSummary> faultReplay;
-  bool matchesPrimary = false;  ///< replay == recorded primary (bits+cycles)
-  bool matchesShadow = false;   ///< replay == recorded shadow (bits+cycles)
-  bool faultReproducesPrimary = false;  ///< faultReplay == recorded primary
-  /// The bundle's failure story holds up under re-execution (see the
-  /// per-trigger rules in the header comment).
+  bool primaryReproduced = false;  ///< re-decode == recorded primary
+  bool shadowReproduced = false;   ///< re-decode == recorded shadow
+  bool recordsDiffer = false;  ///< recorded primary != recorded shadow
+  /// Every recorded decode reproduces and, with a shadow, the records
+  /// differ.
   bool consistent = false;
   std::string verdict;  ///< one-line human-readable conclusion
 };
 
-/// Re-decodes the bundle's packet and renders the verdict.  Throws SimError
-/// on an unreplayable bundle (unknown tier label, empty rx payload).
+/// Re-decodes the bundle's packet by each record's recipe and renders the
+/// verdict.  Throws SimError on an unreplayable bundle (unknown tier label,
+/// empty rx payload).
 ReplayReport replayPostmortem(const obs::PostmortemBundle& b);
 
 }  // namespace adres::platform

@@ -44,19 +44,6 @@ void clearModemProgramCache() {
   c.byConfig.clear();
 }
 
-obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
-                                   const Processor& proc) {
-  obs::DecodeSummary s;
-  s.detected = res.detected;
-  s.ltfStart = res.ltfStart;
-  s.stop = stopReasonName(res.stop);
-  s.cycles = res.cycles;
-  s.totalOps = proc.activity().totalOps();
-  s.bits = res.bits;
-  s.regions = proc.profiles();
-  return s;
-}
-
 void SessionStats::merge(const SessionStats& other) {
   packets += other.packets;
   counters += other.counters;
@@ -65,39 +52,37 @@ void SessionStats::merge(const SessionStats& other) {
 }
 
 RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
-    : modem_(modemProgramFor(cfg)), opts_(std::move(opts)) {
+    : modem_(modemProgramFor(cfg)), opts_(std::move(opts)),
+      budget_(opts_.maxCycles) {
   // Resolve the exec policy's plan set once per session: every decode then
   // loads with the shared per-tier plans instead of consulting the cache.
   if (!opts_.exec.plans) opts_.exec.plans = modem_->plansFor(opts_.exec.tier);
   // The resident program is shared-const and never mutates between decodes,
-  // so the session satisfies ExecPolicy::warmReload's immutability contract:
-  // from the second decode on, load() only replays the DMA and state reset.
+  // so the session satisfies ExecPolicy::warmReload's immutability contract.
+  // This cold load arms it: every decode's load() only replays the DMA and
+  // the state reset, and a session is ready to serve once constructed.
   opts_.exec.warmReload = true;
+  proc_.load(modem_->program, opts_.exec);
 }
 
 sdr::ProcessorRxResult RxSession::decode(
     const std::array<std::vector<cint16>, 2>& rx) {
   sdr::ProcessorRxResult res;
-  decodeInto(rx, res);
+  decodeInto(rx, res, budget_);
   return res;
 }
 
 void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
-                           sdr::ProcessorRxResult& out,
-                           u64 maxCyclesOverride) {
+                           sdr::ProcessorRxResult& out, u64 maxCycles,
+                           TraceSink* trace) {
   // DMA stats deliberately survive Processor::resetStats() (they account
   // the program-load transfers); clear them here so every decode's stats —
   // and the power model reading them — cover exactly one packet, as on a
   // freshly constructed processor.
   proc_.dma().resetStats();
-  // A per-job budget tightens (never loosens) the session budget for this
-  // decode only.  Swap-in/swap-out keeps the hot path allocation-free — no
-  // RxRunOptions copy, and sessions are single-threaded by contract.
-  const u64 sessionBudget = opts_.maxCycles;
-  if (maxCyclesOverride != 0 && maxCyclesOverride < sessionBudget)
-    opts_.maxCycles = maxCyclesOverride;
+  opts_.maxCycles = maxCycles;
+  opts_.trace = trace;
   sdr::runModemOnProcessor(proc_, *modem_, rx, opts_, out);
-  opts_.maxCycles = sessionBudget;
   // Stats reset on the next load; fold this packet's into the session total
   // (a block add plus one add per region, whose map nodes exist after the
   // first packet).
@@ -105,6 +90,19 @@ void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
   if (opts_.profile) stats_.profile.addProcessor(proc_);
   stats_.counters += trace::readCounters(proc_);
   for (const auto& [id, rp] : proc_.profiles()) stats_.regions[id] += rp;
+}
+
+obs::DecodeSummary RxSession::summarize(
+    const sdr::ProcessorRxResult& res) const {
+  obs::DecodeSummary s;
+  s.detected = res.detected;
+  s.ltfStart = res.ltfStart;
+  s.stop = stopReasonName(res.stop);
+  s.cycles = res.cycles;
+  s.totalOps = proc_.activity().totalOps();
+  s.bits = res.bits;
+  s.regions = proc_.profiles();
+  return s;
 }
 
 }  // namespace adres::platform

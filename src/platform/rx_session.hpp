@@ -1,9 +1,13 @@
 // RxSession: a reusable receive context — one Processor plus the modem
 // program for its ModemConfig, built and mapped ONCE (the DRESC-style
 // kernel scheduling in buildModemProgram dominates setup cost) and shared
-// through a process-wide cache keyed by the configuration.  decode() then
-// only pays waveform DMA + execution + result decode per packet, which is
-// what a deployed platform re-running the resident program would do.
+// through a process-wide cache keyed by the configuration.  It is the one
+// owner of a Processor and resident program in the platform: farm workers,
+// the sentinel's shadow decoder and postmortem replay all decode through a
+// session.  The constructor pays the processor's one cold program load, so
+// every decode() only pays the warm reload, waveform DMA, execution and
+// result decode, which is what a deployed platform re-running the resident
+// program would do.
 #pragma once
 
 #include <array>
@@ -28,12 +32,6 @@ std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
 /// valid).
 void clearModemProgramCache();
 
-/// Summarizes a decode that just finished on `proc` for the sentinel's
-/// comparison and for postmortem bundles: result metadata, decoded bits,
-/// cycles, total ops and the per-region counter partition.
-obs::DecodeSummary summarizeDecode(const sdr::ProcessorRxResult& res,
-                                   const Processor& proc);
-
 /// Counter totals accumulated across the packets a session decoded.
 /// Processor stats reset on every program load, so the session sums each
 /// packet's counter block and region profiles; FarmStats merges these
@@ -53,32 +51,42 @@ struct SessionStats {
 
 class RxSession {
  public:
+  /// Fetches (or builds) the program for `cfg` and loads it: the session's
+  /// one cold program load, paid before any decode.  `opts.maxCycles` is the
+  /// budget decode() runs under; a trace sink attaches per decode, through
+  /// decodeInto(), so `opts.trace` is not used.
   explicit RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts = {});
 
-  /// Decodes one packet with the resident program.
+  /// Decodes one packet with the resident program under the session budget.
   sdr::ProcessorRxResult decode(const std::array<std::vector<cint16>, 2>& rx);
 
-  /// Allocation-free variant: decodes into `out`, reusing its capacity.
-  /// Combined with the session's warm program reload and the fixed-size
-  /// stats fold, a steady-state call performs no heap allocation
-  /// (tools/alloc_gate asserts this) — the packet-farm hot path.
-  /// `maxCyclesOverride` != 0 caps this one decode at
-  /// min(override, session maxCycles) simulated cycles (RxJob::maxCycles,
-  /// the cell layer's per-packet deadline budget); the session budget is
-  /// restored afterwards.
+  /// Allocation-free variant: decodes into `out`, reusing its capacity,
+  /// under exactly `maxCycles` simulated cycles, with `trace` (when
+  /// non-null) attached to this decode only.  Combined with the warm
+  /// program reload and the fixed-size stats fold, a steady-state call
+  /// performs no heap allocation (tools/alloc_gate asserts this) — the
+  /// packet-farm hot path.
   void decodeInto(const std::array<std::vector<cint16>, 2>& rx,
-                  sdr::ProcessorRxResult& out, u64 maxCyclesOverride = 0);
+                  sdr::ProcessorRxResult& out, u64 maxCycles,
+                  TraceSink* trace = nullptr);
+
+  /// Summarizes the decode that just finished (`res` is its result) for the
+  /// sentinel's comparison and for postmortem bundles: result metadata,
+  /// decoded bits, cycles, total ops and the per-region counter partition.
+  obs::DecodeSummary summarize(const sdr::ProcessorRxResult& res) const;
 
   const dsp::ModemConfig& config() const { return modem_->config; }
   const sdr::ModemOnProcessor& modem() const { return *modem_; }
-  Processor& processor() { return proc_; }
   const Processor& processor() const { return proc_; }
   /// Session totals.
   const SessionStats& stats() const { return stats_; }
 
  private:
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
+  /// The run options of the decode in flight: decodeInto() sets its budget
+  /// and trace sink.
   sdr::RxRunOptions opts_;
+  u64 budget_;  ///< decode()'s budget: the constructor's opts.maxCycles
   Processor proc_;
   SessionStats stats_;
 };

@@ -31,9 +31,6 @@ bool writesReg(const Instr& in, int reg) {
   return writesDataReg(in.op) && in.dst == reg;
 }
 
-bool readsPred(const Instr& in, int p) { return in.guard == p && p != 0; }
-bool writesPred(const Instr& in, int p) { return isPredDef(in.op) && in.dst == p; }
-
 }  // namespace
 
 std::vector<Bundle> scheduleVliw(const std::vector<Instr>& seq) {

@@ -31,6 +31,10 @@ namespace {
 
 using dsp::kLtfAmpQ15;
 
+/// Slice size of a supervised run: the watchdog heartbeat advances at least
+/// once per this many simulated cycles.
+constexpr u64 kProgressIntervalCycles = 32'768;
+
 // Modem state registers (persist across the whole program).
 constexpr int rCoarse = 10;   ///< coarse CFO compensating step
 constexpr int rTotal = 11;    ///< total CFO compensating step
@@ -759,28 +763,22 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
       proc.dma().toL1(dst, bytes);
     }
   }
-  if (opts.progressCycles == nullptr && opts.cancel == nullptr) {
+  if (opts.progressCycles == nullptr) {
     out.stop = proc.run(opts.maxCycles);
   } else {
-    // Supervised run: slice the budget so a heartbeat is published (and a
-    // cancel request honoured) every progressIntervalCycles.  run() resumes
-    // from held pipeline state, so the slicing is bit- and cycle-exact.
-    const u64 interval = std::max<u64>(1, opts.progressIntervalCycles);
+    // Supervised run: slice the budget so a heartbeat is published every
+    // kProgressIntervalCycles.  run() resumes from held pipeline state, so
+    // the slicing is bit- and cycle-exact.
     const u64 startCycle = proc.cycles();
     for (;;) {
-      if (opts.cancel != nullptr &&
-          opts.cancel->load(std::memory_order_relaxed) != 0) {
-        out.stop = StopReason::kCancelled;
-        break;
-      }
       const u64 used = proc.cycles() - startCycle;
       if (used >= opts.maxCycles) {
         out.stop = StopReason::kMaxCycles;
         break;
       }
-      out.stop = proc.run(std::min(interval, opts.maxCycles - used));
-      if (opts.progressCycles != nullptr)
-        opts.progressCycles->store(proc.cycles(), std::memory_order_relaxed);
+      out.stop =
+          proc.run(std::min(kProgressIntervalCycles, opts.maxCycles - used));
+      opts.progressCycles->store(proc.cycles(), std::memory_order_relaxed);
       if (out.stop != StopReason::kMaxCycles) break;
     }
   }

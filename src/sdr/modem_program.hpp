@@ -65,13 +65,12 @@ ModemOnProcessor buildModemProgram(const dsp::ModemConfig& cfg);
 /// defaults.  The options are read once at call time; the referenced trace
 /// sink must outlive the run.
 ///
-/// `progressCycles`/`cancel` are the supervision hooks (obs::WorkerWatchdog):
-/// when either is set the run is sliced into `progressIntervalCycles`-sized
-/// budget chunks — bit- and cycle-exact with an unsliced run, since run()
-/// resumes from held state — and between slices the processor's cycle count
-/// is published to `progressCycles` (a heartbeat another thread may read)
-/// and `cancel` is polled (a non-zero value aborts with
-/// StopReason::kCancelled).  Both referents must outlive the run.
+/// `progressCycles` is the supervision hook (obs::WorkerWatchdog): when set,
+/// the run is sliced into 32,768-cycle budget chunks — bit- and cycle-exact
+/// with an unsliced run, since run() resumes from held state — and after
+/// each slice the processor's cycle count is published to it (a heartbeat
+/// another thread may read).  The referent must outlive the run.  The
+/// cycle budget is a decode's only early stop.
 struct RxRunOptions {
   u64 maxCycles = 200'000'000ull;  ///< simulated-cycle budget
   /// How kernel launches execute (DESIGN.md §14): the tier, plus an
@@ -81,8 +80,6 @@ struct RxRunOptions {
   ExecPolicy exec;
   TraceSink* trace = nullptr;      ///< attached to the processor when set
   std::atomic<u64>* progressCycles = nullptr;  ///< heartbeat: cycles so far
-  const std::atomic<u32>* cancel = nullptr;    ///< non-zero aborts the run
-  u64 progressIntervalCycles = 32'768;         ///< slice size when supervised
   bool profile = false;  ///< per-launch cycle-attribution (kernelProfiles())
   /// Region-span log for per-packet span trees; entries are appended for
   /// every closed region.  Unlike `trace`, both observability hooks keep the

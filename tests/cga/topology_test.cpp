@@ -62,7 +62,9 @@ TEST(Topology, TorusHopsMetric) {
 TEST(Topology, HopsMatchAdjacency) {
   for (int a = 0; a < kCgaFus; ++a)
     for (int b = 0; b < kCgaFus; ++b)
-      if (a != b && canRead(a, b)) EXPECT_EQ(torusHops(a, b), 1);
+      if (a != b && canRead(a, b)) {
+        EXPECT_EQ(torusHops(a, b), 1);
+      }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // adres.postmortem.v1 bundles: write -> load round-trip fidelity, raw JSON
 // schema validation via json_min, and the bounded atomic PostmortemWriter
-// store (eviction, counters, on-disk lifecycle).
+// store (eviction, counters, file naming, on-disk lifecycle).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -257,6 +257,29 @@ TEST(PostmortemWriter, BoundsTheStoreByEvictingOldest) {
     // no torn tmp states are ever visible under the final name).
     EXPECT_NO_THROW(loadPostmortemBundle(p));
   }
+}
+
+TEST(PostmortemWriter, WritersSharingADirectoryKeepEveryBundle) {
+  // One farm per bench_farm row: each has its own writer on the same
+  // directory, and two rows can capture the same packet.
+  PostmortemConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = freshDir("adres_pm_shared");
+  PostmortemWriter first(cfg);
+  PostmortemWriter second(cfg);
+
+  const PostmortemBundle b = fullBundle();
+  const std::string a = first.write(b);
+  const std::string c = second.write(b);
+  ASSERT_FALSE(a.empty());
+  ASSERT_FALSE(c.empty());
+  EXPECT_NE(a, c) << "a second writer must not reuse the first's file name";
+  std::size_t files = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(cfg.dir)) {
+    EXPECT_NO_THROW(loadPostmortemBundle(e.path().string()));
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
 }
 
 TEST(PostmortemWriter, FailedWriteReturnsEmptyAndIsNotCounted) {

@@ -514,7 +514,7 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
 
 TEST(RxSession, WarmReloadIsBitAndCycleExactWithColdReload) {
   const dsp::ModemConfig cfg = smallConfig();
-  RxSession warm(cfg);  // warm reload from the second decode on
+  RxSession warm(cfg);  // its constructor's cold load: every decode is warm
   // The cold side: a full program load per decode on one processor, folding
   // each packet's counters and region profiles as the session does.
   const auto modem = modemProgramFor(cfg);

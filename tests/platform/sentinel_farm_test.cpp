@@ -1,10 +1,11 @@
 // End-to-end self-auditing runtime: a farm with seeded fault injection must
 // be caught by the divergence sentinel (structured IntegrityEvent + a
-// replayable adres.postmortem.v1 bundle whose divergence CONFIRMs under
-// standalone re-execution), a clean farm at 100% sampling must audit every
-// packet with zero divergences — also when a per-job cycle budget stops the
-// decode — a farm with capture off must write nothing, and the readiness /
-// capture / metrics surfaces must behave.
+// replayable adres.postmortem.v1 bundle whose divergence CONFIRMs when each
+// record is re-run by its own recipe), a bundle whose records do not
+// reproduce must not replay consistent, a clean farm at 100% sampling must
+// audit every packet with zero divergences — also when a per-job cycle
+// budget stops the decode — a farm with capture off must write nothing, and
+// the readiness / capture / metrics surfaces must behave.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -126,8 +127,9 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   ASSERT_NE(farm.postmortemWriter(), nullptr);
   EXPECT_EQ(farm.postmortemWriter()->written(), static_cast<u64>(kPackets));
 
-  // The bundle is the incident, frozen: a standalone replay reproduces the
-  // shadow's clean decode AND the fault-seeded corrupted primary.
+  // The bundle is the incident, frozen: re-run by its own recipe, each
+  // record reproduces — the shadow's clean decode AND the fault-seeded
+  // corrupted primary — and the two differ.
   const obs::PostmortemBundle b = obs::loadPostmortemBundle(events[0].bundlePath);
   EXPECT_EQ(b.trigger, "divergence");
   EXPECT_EQ(b.faultInjectSeed, 0xBADC0DEull);
@@ -136,11 +138,73 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   ASSERT_TRUE(b.shadow.has_value());
   EXPECT_NE(b.primary.bits, b.shadow->bits);
   const ReplayReport rep = replayPostmortem(b);
-  EXPECT_TRUE(rep.matchesShadow);
-  EXPECT_FALSE(rep.matchesPrimary);
-  EXPECT_TRUE(rep.faultReproducesPrimary);
+  EXPECT_TRUE(rep.shadowReproduced);
+  EXPECT_TRUE(rep.recordsDiffer);
+  EXPECT_TRUE(rep.primaryReproduced);
   EXPECT_TRUE(rep.consistent) << rep.verdict;
   EXPECT_NE(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
+}
+
+/// The divergence bundle a one-packet farm writes when its primary decodes
+/// with a planted fault and the sentinel audits every packet.
+obs::PostmortemBundle plantedFaultBundle(const std::string& dir) {
+  FarmConfig fc;
+  fc.modem = smallConfig();
+  fc.run.faultInjectBitFlipSeed = 0xBADC0DEull;
+  fc.sentinel.enabled = true;
+  fc.sentinel.sampleRate = 1.0;
+  fc.postmortem.enabled = true;
+  fc.postmortem.dir = dir;
+  PacketFarm farm(fc);
+  (void)farm.submit(makePacket(fc.modem, 0).first);
+  (void)farm.finish();
+  return obs::loadPostmortemBundle(farm.integrityEvents().at(0).bundlePath);
+}
+
+TEST(SentinelFarm, AnUnexplainedCorruptionDoesNotReplayConsistent) {
+  // An unexplained corruption is recorded as a divergence bundle with no
+  // fault seed.  The primary's recipe then decodes clean, so the corrupted
+  // primary record does not reproduce: the replay cannot confirm it.
+  obs::PostmortemBundle b =
+      plantedFaultBundle(freshDir("adres_sentinel_unexplained"));
+  ASSERT_TRUE(b.shadow.has_value());
+  b.faultInjectSeed = 0;
+  const ReplayReport rep = replayPostmortem(b);
+  EXPECT_FALSE(rep.primaryReproduced);
+  EXPECT_TRUE(rep.shadowReproduced);
+  EXPECT_TRUE(rep.recordsDiffer);
+  EXPECT_FALSE(rep.consistent) << rep.verdict;
+  EXPECT_EQ(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
+  EXPECT_NE(rep.verdict.find("the primary record does not reproduce"),
+            std::string::npos)
+      << rep.verdict;
+}
+
+TEST(SentinelFarm, ACounterOnlyDivergenceNamesTheRecordThatDoesNotReproduce) {
+  // Records that differ only in the counter partition: the primary claims
+  // one more CGA op than the clean decode performs.  Replay compares the
+  // partition as the sentinel does, so it names the primary as the record
+  // that does not reproduce instead of calling the records identical.
+  obs::PostmortemBundle b =
+      plantedFaultBundle(freshDir("adres_sentinel_counters"));
+  ASSERT_TRUE(b.shadow.has_value());
+  b.faultInjectSeed = 0;
+  b.primary = *b.shadow;
+  ASSERT_FALSE(b.primary.regions.empty());
+  b.primary.totalOps += 1;
+  b.primary.regions.begin()->second.ops += 1;
+  b.primary.regions.begin()->second.cgaOps += 1;
+  const ReplayReport rep = replayPostmortem(b);
+  EXPECT_TRUE(rep.recordsDiffer);
+  EXPECT_FALSE(rep.primaryReproduced);
+  EXPECT_TRUE(rep.shadowReproduced);
+  EXPECT_FALSE(rep.consistent) << rep.verdict;
+  EXPECT_NE(rep.verdict.find("the primary record does not reproduce"),
+            std::string::npos)
+      << rep.verdict;
+  EXPECT_NE(rep.verdict.find("counter partition"), std::string::npos)
+      << rep.verdict;
+  EXPECT_EQ(rep.verdict.find("identical"), std::string::npos) << rep.verdict;
 }
 
 TEST(SentinelFarm, CaptureOffWritesNoFileAndNoDirectory) {
@@ -243,7 +307,7 @@ TEST(SentinelFarm, BudgetCappedDecodeBundlesReplayConsistently) {
     EXPECT_EQ(b.maxCycles, 20000u) << b.trigger;
     EXPECT_EQ(b.primary.stop, "max_cycles") << b.trigger;
     const ReplayReport rep = replayPostmortem(b);
-    EXPECT_TRUE(rep.matchesPrimary) << b.trigger;
+    EXPECT_TRUE(rep.primaryReproduced) << b.trigger;
     EXPECT_TRUE(rep.consistent) << b.trigger << ": " << rep.verdict;
   }
 }
@@ -277,7 +341,7 @@ TEST(SentinelFarm, SloBreachCaptureFreezesTheSlowestPacket) {
   ASSERT_FALSE(b.rx[0].empty());
   // No-shadow bundles must re-decode to the recorded primary exactly.
   const ReplayReport rep = replayPostmortem(b);
-  EXPECT_TRUE(rep.matchesPrimary);
+  EXPECT_TRUE(rep.primaryReproduced);
   EXPECT_TRUE(rep.consistent) << rep.verdict;
 }
 

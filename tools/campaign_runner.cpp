@@ -1,7 +1,7 @@
 // campaign_runner: Monte-Carlo BER/PER sweeps on the packet farm from the
 // command line (src/campaign, DESIGN.md §11).
 //
-//   $ ./campaign_runner --mod qam16,qam64 --snr 10:4:30 --taps 1 --flat \
+//   $ ./campaign_runner --mod qam16,qam64 --snr 10:4:30 --taps 1 --flat
 //         --workers 4 --checkpoint camp.json
 //
 // Axes take comma lists ("10,20,30") or lo:step:hi ranges ("10:4:30").

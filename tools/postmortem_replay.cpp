@@ -1,47 +1,35 @@
 // postmortem_replay: standalone verdict on an adres.postmortem.v1 bundle.
 //
-//   postmortem_replay BUNDLE.json       re-decode the bundle's packet and
-//                                       confirm (or refute) the recorded
-//                                       failure; exit 0 when the story holds
-//   postmortem_replay --make-demo PATH  write a self-contained divergence
-//                                       bundle (planted fault-injection bit
-//                                       flip) for smoke-testing the replay
-//                                       loop without a running farm
+//   postmortem_replay BUNDLE.json       re-run each recorded decode by its
+//                                       own recipe and confirm (or refute)
+//                                       the recorded failure; exit 0 when
+//                                       the story holds
+//   postmortem_replay --make-demo PATH  write the divergence bundle a
+//                                       one-packet farm produces with a
+//                                       planted fault, for smoke-testing
+//                                       the replay loop
 //
 // Exit codes: 0 = bundle consistent / demo written, 1 = replay inconsistent,
 // 2 = usage, unreadable bundle, or replay setup error.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
 
 #include "common/check.hpp"
 #include "dsp/channel.hpp"
-#include "obs/integrity.hpp"
 #include "obs/postmortem.hpp"
+#include "platform/packet_farm.hpp"
 #include "platform/replay.hpp"
-#include "platform/rx_session.hpp"
 
 namespace {
 
 using namespace adres;
 
-obs::DecodeSummary decodeSummary(Processor& proc,
-                                 const sdr::ModemOnProcessor& modem,
-                                 const std::array<std::vector<cint16>, 2>& rx,
-                                 ExecTier tier, u64 faultSeed) {
-  sdr::RxRunOptions opts;
-  opts.exec.tier = tier;
-  opts.exec.plans = modem.plansFor(tier);
-  opts.faultInjectBitFlipSeed = faultSeed;
-  return platform::summarizeDecode(
-      sdr::runModemOnProcessor(proc, modem, rx, opts), proc);
-}
-
-/// Builds and writes a planted-fault divergence bundle: one decodable
-/// QAM-64 packet, primary decoded with a seeded payload bit flip, shadow
-/// decoded clean on the tier the sentinel would audit it with.
+/// Runs one decodable QAM-64 packet through a farm whose primary decodes
+/// with a seeded payload bit flip, auditing every packet with capture on,
+/// and moves the divergence bundle the farm writes to `path`.
 int makeDemo(const std::string& path) {
+  namespace fs = std::filesystem;
   dsp::ModemConfig cfg;
   cfg.mod = dsp::Modulation::kQam64;
   cfg.numSymbols = 2;
@@ -53,48 +41,36 @@ int makeDemo(const std::string& path) {
   cc.cfoPpm = 6;
   cc.seed = 7;
   dsp::MimoChannel ch(cc);
-  const std::array<std::vector<cint16>, 2> rx = ch.run(pkt.waveform);
 
-  const auto modem = platform::modemProgramFor(cfg);
-  constexpr u64 kFaultSeed = 0xFA0171ull;
-  const ExecTier primaryTier = defaultExecTier();
-  const ExecTier shadowTier = obs::shadowTierFor(primaryTier);
-  Processor primaryProc, shadowProc;
-  const obs::DecodeSummary primary =
-      decodeSummary(primaryProc, *modem, rx, primaryTier, kFaultSeed);
-  const obs::DecodeSummary shadow =
-      decodeSummary(shadowProc, *modem, rx, shadowTier, 0);
+  const fs::path dest(path);
+  platform::FarmConfig fc;
+  fc.modem = cfg;
+  fc.run.faultInjectBitFlipSeed = 0xFA0171ull;
+  fc.sentinel.enabled = true;
+  fc.sentinel.sampleRate = 1.0;
+  fc.postmortem.enabled = true;
+  // The bundle is written beside its destination, so the move is a rename.
+  fc.postmortem.dir = dest.has_parent_path() ? dest.parent_path().string() : ".";
+  platform::PacketFarm farm(fc);
+  (void)farm.submit(ch.run(pkt.waveform));
+  (void)farm.finish();
 
-  const std::optional<obs::IntegrityEvent> ev =
-      obs::compareDecodes(primary, shadow);
-  if (!ev) {
+  const std::vector<obs::IntegrityEvent> events = farm.integrityEvents();
+  if (events.size() != 1 || events[0].bundlePath.empty()) {
     std::fprintf(stderr,
-                 "demo fault did not produce a divergence (unexpected)\n");
+                 "demo fault did not produce a divergence bundle "
+                 "(unexpected)\n");
     return 2;
   }
-
-  obs::PostmortemBundle b;
-  b.trigger = "divergence";
-  b.reason = ev->detail;
-  b.jobId = 0;
-  b.traceId = trace::packetTraceId(0, 0);
-  b.modulation = static_cast<int>(cfg.mod);
-  b.numSymbols = cfg.numSymbols;
-  b.execTier = execTierName(primaryTier);
-  b.shadowTier = execTierName(shadowTier);
-  b.maxCycles = sdr::RxRunOptions{}.maxCycles;
-  b.faultInjectSeed = kFaultSeed;
-  b.rx = rx;
-  b.primary = primary;
-  b.shadow = shadow;
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  std::error_code ec;
+  fs::rename(events[0].bundlePath, dest, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 ec.message().c_str());
     return 2;
   }
-  obs::writePostmortemJson(b, os);
   std::printf("demo divergence bundle written to %s (%s)\n", path.c_str(),
-              ev->detail.c_str());
+              events[0].detail.c_str());
   return 0;
 }
 
