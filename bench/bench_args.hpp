@@ -1,7 +1,9 @@
 // Shared bench CLI handling: one tiny declarative parser so every bench
 // agrees on flag syntax (`--flag value` / `--flag=value`), keeps its legacy
 // positional arguments, and gets a generated `--help`.  Header-only, shared
-// by the benches and tools that take flags.  The overhead gates of
+// by the benches and tools that take flags.  Every number on a command
+// line — a flag, a positional, a sweep-axis token — follows one
+// whole-token rule (parseNumber/parseInt).  The overhead gates of
 // bench_farm and bench_table2_profiling also share its one host-overhead
 // statistic, pairedMedianOverheadPct.
 //
@@ -15,7 +17,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,6 +36,91 @@ inline double msSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The whole-token rule for a double: the entire token parses and the
+/// value is finite (no "nan", "inf" or overflowing "1e999").
+inline bool parseNumber(const std::string& tok, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(tok.c_str(), &end);
+  if (end == tok.c_str() || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+/// The whole-token rule for an int: the entire token is a decimal integer
+/// within int's range.
+inline bool parseInt(const std::string& tok, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(tok.c_str(), &end, 10);
+  if (end == tok.c_str() || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+      v > INT_MAX)
+    return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+/// Most points a lo:step:hi axis may expand to: a typo'd step must not
+/// expand into millions of cells.
+inline constexpr double kMaxAxisPoints = 4096;
+
+/// Parses a sweep axis, "a,b,c" or "lo:step:hi" (inclusive hi, within
+/// 1e-9), by the whole-token rule: every value must be a finite number, a
+/// range needs a positive step and at most kMaxAxisPoints points.  Empty
+/// list entries are skipped.  On a bad token returns false with `bad`
+/// naming it.
+inline bool parseAxis(const std::string& s, std::vector<double>& out,
+                      std::string& bad) {
+  out.clear();
+  const std::size_t c1 = s.find(':');
+  if (c1 != std::string::npos) {
+    const std::size_t c2 = s.find(':', c1 + 1);
+    double lo = 0, step = 0, hi = 0;
+    if (c2 == std::string::npos || !parseNumber(s.substr(0, c1), lo) ||
+        !parseNumber(s.substr(c1 + 1, c2 - c1 - 1), step) ||
+        !parseNumber(s.substr(c2 + 1), hi) || !(step > 0) ||
+        (hi - lo) / step > kMaxAxisPoints) {
+      bad = s;
+      return false;
+    }
+    for (double v = lo; v <= hi + 1e-9; v += step) out.push_back(v);
+    return true;
+  }
+  std::size_t pos = 0;
+  while (pos <= s.size()) {
+    const std::size_t comma = s.find(',', pos);
+    const std::string tok =
+        s.substr(pos, comma == std::string::npos ? std::string::npos
+                                                 : comma - pos);
+    double v = 0;
+    if (!tok.empty()) {
+      if (!parseNumber(tok, v)) {
+        bad = tok;
+        return false;
+      }
+      out.push_back(v);
+    }
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return true;
+}
+
+/// parseAxis for an integer axis: every value must also be an int.
+inline bool parseAxis(const std::string& s, std::vector<int>& out,
+                      std::string& bad) {
+  std::vector<double> values;
+  if (!parseAxis(s, values, bad)) return false;
+  out.clear();
+  for (const double v : values) {
+    if (v != std::trunc(v) || v < INT_MIN || v > INT_MAX) {
+      bad = s;
+      return false;
+    }
+    out.push_back(static_cast<int>(v));
+  }
+  return true;
 }
 
 /// Off/on pairs per overhead gate.
@@ -136,18 +226,20 @@ class Args {
           value = argv[++i];
         }
         if (!bind(*f, value))
-          return fail("--" + name + " expects a number, got '" + value + "'");
+          return fail("--" + name + " expects a number in range, got '" +
+                      value + "'");
         continue;
       }
       // A single-dash token is a flag typo ("-foo" for "--foo"), not a
       // positional — unless it parses as a (negative) number.
-      if (arg.size() > 1 && arg[0] == '-' && !isNumber(arg))
+      double number = 0;
+      if (arg.size() > 1 && arg[0] == '-' && !parseNumber(arg, number))
         return fail("unknown flag " + arg + " (flags take two dashes)");
       if (nextPositional >= positionals_.size())
         return fail("unexpected argument '" + arg + "'");
       const Binding& b = positionals_[nextPositional++];
       if (!bind(b, arg))
-        return fail(b.name + " expects a number, got '" + arg + "'");
+        return fail(b.name + " expects a number in range, got '" + arg + "'");
     }
     return true;
   }
@@ -206,27 +298,13 @@ class Args {
     return false;
   }
 
-  static bool isNumber(const std::string& value) {
-    char* end = nullptr;
-    (void)std::strtod(value.c_str(), &end);
-    return end != value.c_str() && *end == '\0';
-  }
-
-  /// Binds a value; false when a numeric binding got a non-number (atoi's
-  /// silent garbage-to-0 was how a typo'd value used to vanish).
+  /// Binds a value; false when a numeric binding got a token the
+  /// whole-token rule rejects (atoi's silent garbage-to-0 was how a typo'd
+  /// value used to vanish).
   static bool bind(const Binding& b, const std::string& value) {
-    if (b.outInt != nullptr) {
-      char* end = nullptr;
-      const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') return false;
-      *b.outInt = static_cast<int>(v);
-    }
-    if (b.outDouble != nullptr) {
-      char* end = nullptr;
-      const double v = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') return false;
-      *b.outDouble = v;
-    }
+    if (b.outInt != nullptr && !parseInt(value, *b.outInt)) return false;
+    if (b.outDouble != nullptr && !parseNumber(value, *b.outDouble))
+      return false;
     if (b.outString != nullptr) *b.outString = value;
     return true;
   }

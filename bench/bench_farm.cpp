@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
     fc.numWorkers = w;
     fc.queueCapacity = static_cast<std::size_t>(2 * w);
     fc.ordered = true;
-    fc.spans = true;  // per-packet span trees (region log, fast path kept)
     fc.run.exec.tier = tier;
     if (auditRate >= 0) {
       fc.sentinel.enabled = true;
@@ -246,7 +245,8 @@ int main(int argc, char** argv) {
     const obs::HistogramSnapshot lat = farm->stats().latencyNs;
     r.p50Us = lat.quantile(0.5) / 1000.0;
     r.p99Us = lat.quantile(0.99) / 1000.0;
-    // Queue-wait vs decode-time split, from the per-packet span machinery.
+    // Queue-wait vs decode-time split, from the merged queue-wait and
+    // latency histograms.
     const obs::HistogramSnapshot wait = farm->stats().queueWaitNs;
     r.queueWaitP50Us = wait.quantile(0.5) / 1000.0;
     r.queueWaitP99Us = wait.quantile(0.99) / 1000.0;

@@ -7,8 +7,8 @@
 //
 // When a path is given, the run's adres.counters.v1 dump is written there.
 // Any of the flags adds the observability phase: bench::kOverheadPairs
-// alternating pairs of cold-reload decodes of the same packet, tracing off
-// vs on (the per-launch profiler plus the region-span log).
+// alternating pairs of cold-reload decodes of the same packet, the
+// per-launch profiler off vs on.
 // --profile-json / --profile-folded dump the cycle-attribution profile
 // summed over the traced decodes (adres.profile.v1 JSON / flamegraph
 // folded stacks); --overhead-max-pct makes the run fail (exit 1) when the
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   args.flag("profile-folded", "PATH", "write flamegraph folded stacks",
             &profileFoldedPath);
   args.flag("overhead-max-pct", "PCT",
-            "fail if spans+profiler cost more than PCT% vs tracing off",
+            "fail if the profiler costs more than PCT% vs tracing off",
             &overheadMaxPct);
   if (!args.parse(argc, argv)) return args.parseError() ? 1 : 0;
   const int numSymbols = 16;  // amortizes cold I$ over the pair loop
@@ -179,12 +179,9 @@ int main(int argc, char** argv) {
   RxRunOptions off;
   RxRunOptions on;
   on.profile = true;
-  std::vector<RegionSpan> regionLog;
-  on.regionLog = &regionLog;
   trace::ProfileSummary profile;
   bool exact = true;
   const auto timedDecode = [&](const RxRunOptions& o) {
-    regionLog.clear();
     const auto t0 = std::chrono::steady_clock::now();
     const ProcessorRxResult r = runModemOnProcessor(proc, m, rx, o);
     const double ms = bench::msSince(t0);
@@ -199,7 +196,7 @@ int main(int argc, char** argv) {
     fprintf(stderr, "observability run diverged from the baseline\n");
     return 1;
   }
-  printf("\nobservability: %+.2f%% host overhead (spans+profiler, median of "
+  printf("\nobservability: %+.2f%% host overhead (profiler, median of "
          "%d alternating pairs)\n",
          overheadPct, bench::kOverheadPairs);
   for (const trace::CycleSink& s : profile.topSinks(3))

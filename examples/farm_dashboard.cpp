@@ -213,8 +213,7 @@ void drawFrame(const std::vector<Sample>& samples, int frame, bool ansi) {
   }
 
   // Slowest-packet breakdown: which packet hit the tail, where it waited,
-  // and (when span recording is on) which modem regions its decode spent
-  // simulated cycles in.
+  // and which modem regions its decode spent simulated cycles in.
   const double slowLat = value(samples, "adres_farm_slowest_packet_latency_us");
   if (slowLat > 0) {
     printf("\nslowest packet: job %.0f on worker %.0f   latency %.0f us   "
@@ -287,7 +286,6 @@ int main(int argc, char** argv) {
     fc.modem = cfg;
     fc.numWorkers = std::max(
         1, std::min(4, static_cast<int>(std::thread::hardware_concurrency())));
-    fc.spans = true;  // feeds the slowest-packet region breakdown panel
     // Exercise the self-audit panel: shadow-decode a quarter of the demo
     // traffic and track two permissive SLOs live.
     fc.sentinel.enabled = true;

@@ -1,35 +1,17 @@
 #include "campaign/checkpoint.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/json_escape.hpp"
 #include "common/json_min.hpp"
 
 namespace adres::campaign {
-namespace {
 
-std::string hex64(u64 v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string fmtDouble(double d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
-
-u64 asU64(const json::JsonValue& v) {
-  // Counters stay below 2^53, so the double round-trip is exact.
-  return static_cast<u64>(v.number);
-}
-
-}  // namespace
+using json::fmtDouble;
 
 void writeCheckpoint(std::ostream& os, const SweepSpec& spec,
                      const std::vector<CellSpec>& cells,
@@ -88,23 +70,24 @@ std::map<u64, CellResult> loadCheckpoint(std::istream& is,
   buf << is.rdbuf();
   json::JsonValue root = json::JsonParser(buf.str()).parse();
   ADRES_CHECK(root.type == json::JsonValue::kObject, "checkpoint not an object");
-  ADRES_CHECK(root.at("schema").str == kCheckpointSchema,
+  ADRES_CHECK(root.get<std::string>("schema") == kCheckpointSchema,
               "unknown checkpoint schema");
-  ADRES_CHECK(root.at("specHash").str == hex64(stableHash(spec)),
+  ADRES_CHECK(root.get<std::string>("specHash") == hex64(stableHash(spec)),
               "checkpoint was written by a different sweep spec");
   std::map<u64, CellResult> out;
-  for (const json::JsonValue& cell : root.at("cells").array) {
-    const u64 key = std::stoull(cell.at("key").str, nullptr, 16);
+  for (const json::JsonValue& cell :
+       root.at("cells", json::JsonValue::kArray).array) {
+    const u64 key = parseHex64(cell.get<std::string>("key"));
     CellResult r;
-    r.trials = asU64(cell.at("trials"));
-    r.bits = asU64(cell.at("bits"));
-    r.bitErrors = asU64(cell.at("bitErrors"));
-    r.packetErrors = asU64(cell.at("packetErrors"));
-    r.lostPackets = asU64(cell.at("lostPackets"));
-    r.cycles = asU64(cell.at("cycles"));
-    r.discardedTrials = asU64(cell.at("discardedTrials"));
-    r.stopReason = cell.at("stopReason").str;
-    r.energyNj = cell.at("energyNj").number;
+    r.trials = cell.get<u64>("trials");
+    r.bits = cell.get<u64>("bits");
+    r.bitErrors = cell.get<u64>("bitErrors");
+    r.packetErrors = cell.get<u64>("packetErrors");
+    r.lostPackets = cell.get<u64>("lostPackets");
+    r.cycles = cell.get<u64>("cycles");
+    r.discardedTrials = cell.get<u64>("discardedTrials");
+    r.stopReason = cell.get<std::string>("stopReason");
+    r.energyNj = cell.get<double>("energyNj");
     r.done = true;
     out.emplace(key, std::move(r));
   }

@@ -35,7 +35,9 @@ void writeCheckpointFile(const std::string& path, const SweepSpec& spec,
 
 /// Parses a checkpoint and returns completed cells keyed by CellSpec::key().
 /// ADRES_CHECKs the schema string and that specHash matches `spec` — a
-/// checkpoint never silently resumes a different sweep.
+/// checkpoint never silently resumes a different sweep — and throws naming
+/// the key on a malformed field (a wrong JSON type, a counter that is not
+/// an exact non-negative integer, a key that is not hex64).
 std::map<u64, CellResult> loadCheckpoint(std::istream& is,
                                          const SweepSpec& spec);
 

@@ -103,8 +103,8 @@ void CampaignRunner::runCell(const CellSpec& cell, CellResult& result) {
     ADRES_CHECK(batch >= 1, "stopping rule failed to fire by maxTrials");
     // Generate + submit the batch (sharded across the producer threads);
     // payload bits land in txBits_ keyed by trial index.  Jobs are
-    // cell-tagged so per-packet trace ids and spans name their campaign
-    // cell even when several cells share one metrics endpoint.
+    // cell-tagged so per-packet trace ids name their campaign cell even
+    // when several cells share one metrics endpoint.
     producer_.produceBatch(
         cell, static_cast<u32>(currentCell_.load(std::memory_order_relaxed)),
         nextTrial, batch, farm, txBits_);

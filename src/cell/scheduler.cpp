@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/json_escape.hpp"
 #include "dsp/frontend.hpp"
 
 namespace adres::cell {
 namespace {
 
-std::string hex64(u64 v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string fmtDouble(double d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
+using json::fmtDouble;
 
 u64 relaxed(const std::atomic<u64>& a) {
   return a.load(std::memory_order_relaxed);

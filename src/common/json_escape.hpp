@@ -2,7 +2,9 @@
 // backslash are backslash-escaped, line feed and tab take their short
 // forms, and every other control character becomes \u00XX, so any byte
 // string survives a round trip through a JSON parser (common/json_min.hpp
-// included) instead of losing its control characters.
+// included) instead of losing its control characters.  Beside it,
+// fmtDouble is the one exact rendering of doubles in the byte-identical
+// artefacts (campaign checkpoints, adres.cell.v1 summaries).
 #pragma once
 
 #include <cstdio>
@@ -32,6 +34,13 @@ inline std::string escape(std::string_view s) {
     }
   }
   return out;
+}
+
+/// `%.17g`: the shortest fixed-width form that round-trips every double.
+inline std::string fmtDouble(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
 }
 
 }  // namespace adres::json

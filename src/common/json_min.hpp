@@ -5,16 +5,23 @@
 // general-purpose parser (a \uXXXX escape above U+007F collapses to '?'),
 // but it fails closed: nesting is capped at kMaxDepth, numbers follow the
 // JSON grammar and must be finite, and every failure is a
-// std::runtime_error naming its byte offset.
+// std::runtime_error naming its byte offset.  Loaders read fields through
+// at(key, type), get() and as(), which fail closed the same way on a wrong
+// type or an integer the target type cannot hold, naming the key.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "common/json_escape.hpp"
 
 namespace adres::json {
 
@@ -32,6 +39,59 @@ struct JsonValue {
     auto it = object.find(k);
     if (it == object.end()) throw std::runtime_error("missing key " + k);
     return it->second;
+  }
+
+  /// Member `key`, which must hold JSON type `t` (for arrays and objects).
+  const JsonValue& at(const std::string& key, Type t) const {
+    const JsonValue& v = at(key);
+    v.expect(t, key);
+    return v;
+  }
+
+  /// The checked read of a loaded scalar: this value as `T`, where `T` is
+  /// bool, std::string, double or an integer type.  An integer must be
+  /// integral and fit `T`; 64-bit integers must also be at most 2^53 in
+  /// magnitude, so the parsed double held them exactly.  Anything else
+  /// throws std::runtime_error naming `what` (the field's key).
+  template <class T>
+  T as(const std::string& what) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      expect(kBool, what);
+      return boolean;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      expect(kString, what);
+      return str;
+    } else if constexpr (std::is_same_v<T, double>) {
+      expect(kNumber, what);
+      return number;
+    } else {
+      static_assert(std::is_integral_v<T>, "as<T>: unsupported type");
+      expect(kNumber, what);
+      constexpr double kExact = 9007199254740992.0;  // 2^53
+      const double lo =
+          std::max(static_cast<double>(std::numeric_limits<T>::min()), -kExact);
+      const double hi =
+          std::min(static_cast<double>(std::numeric_limits<T>::max()), kExact);
+      if (number != std::trunc(number) || number < lo || number > hi)
+        throw std::runtime_error("key " + what + ": " + fmtDouble(number) +
+                                 " is not an integer in [" + fmtDouble(lo) +
+                                 ", " + fmtDouble(hi) + "]");
+      return static_cast<T>(number);
+    }
+  }
+  /// as<T>() of member `key`.
+  template <class T>
+  T get(const std::string& key) const {
+    return at(key).as<T>(key);
+  }
+
+ private:
+  void expect(Type t, const std::string& what) const {
+    static constexpr const char* kNames[] = {"null",   "bool",  "number",
+                                             "string", "array", "object"};
+    if (type != t)
+      throw std::runtime_error("key " + what + ": expected " + kNames[t] +
+                               ", got " + kNames[type]);
   }
 };
 

@@ -303,12 +303,6 @@ void Processor::switchRegion(int id) {
     p.vliwOps += act_.vliwOps - regionStartAct_.vliwOps;
     p.cgaOps += act_.cgaOps - regionStartAct_.cgaOps;
     p.ops = p.vliwOps + p.cgaOps;
-    if (regionLog_) {
-      regionLog_->push_back(
-          {currentRegion_, regionStartCycle_, cycle_,
-           (act_.vliwOps - regionStartAct_.vliwOps) +
-               (act_.cgaOps - regionStartAct_.cgaOps)});
-    }
     if (trace_) {
       const u64 ops = (act_.vliwOps - regionStartAct_.vliwOps) +
                       (act_.cgaOps - regionStartAct_.cgaOps);

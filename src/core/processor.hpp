@@ -70,16 +70,6 @@ struct RegionProfile {
   std::string mode() const;
 };
 
-/// One closed region occupancy, appended to an attached region log — the
-/// per-packet span source (trace/span.hpp) without a TraceSink (which would
-/// disable the CGA steady-state fast path).
-struct RegionSpan {
-  int region = -1;
-  u64 startCycle = 0;
-  u64 endCycle = 0;
-  u64 ops = 0;  ///< VLIW + CGA ops retired inside the region
-};
-
 /// Cycle attribution of every CGA launch of one (region, kernel) pair,
 /// accumulated when kernel profiling is enabled.  All five cycle components
 /// partition the booked kernel cost exactly:
@@ -160,10 +150,6 @@ class Processor {
   /// Enables the per-launch cycle-attribution profiler (one map update per
   /// CGA launch; the array hot loop is untouched).
   void setKernelProfiling(bool on) { kernelProfiling_ = on; }
-  /// Attaches (or detaches, with nullptr) a region-span log: every closed
-  /// region appends one RegionSpan.  Costs one branch per region marker;
-  /// unlike a TraceSink it keeps the CGA steady-state fast path.
-  void setRegionLog(std::vector<RegionSpan>* log) { regionLog_ = log; }
   const Program& program() const { return prog_; }
   /// The decoded kernel plans the sequencer launches from.
   const std::shared_ptr<const ProgramPlans>& kernelPlans() const {
@@ -254,7 +240,6 @@ class Processor {
   std::vector<u32> warmKernelOffsets_;             ///< config-mem placement
   std::map<std::pair<int, u32>, KernelLaunchProfile> kernelProfiles_;
   bool kernelProfiling_ = false;
-  std::vector<RegionSpan>* regionLog_ = nullptr;
   int currentRegion_ = -1;
   u64 regionStartCycle_ = 0;
   ActivityCounters regionStartAct_;

@@ -8,9 +8,6 @@
 namespace adres::obs {
 namespace {
 
-/// Flight-recorder depth of the divergence re-decode (the bundle's ring).
-constexpr std::size_t kRingCapacity = 4096;
-
 /// Mixed into the sampling hash: the audited subset is a pure function of
 /// the trace id.
 constexpr u64 kSampleSeed = 0x51DE'C0DEull;
@@ -112,8 +109,8 @@ std::optional<IntegrityEvent> DivergenceSentinel::audit(
     const DecodedPacket& p) {
   std::lock_guard<std::mutex> lk(mu_);
   sampled_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<IntegrityEvent> out =
-      compareDecodes(p.primary, shadow_(p, nullptr));
+  const DecodeSummary shadow = shadow_(p);
+  std::optional<IntegrityEvent> out = compareDecodes(p.primary, shadow);
   if (!out) return std::nullopt;
 
   out->jobId = p.jobId;
@@ -121,14 +118,7 @@ std::optional<IntegrityEvent> DivergenceSentinel::audit(
   out->worker = p.worker;
   out->traceId = p.traceId;
   out->shadowTier = execTierName(shadowTier_);
-  if (bundleFn_) {
-    // The decode is deterministic, so a second shadow run — this time with
-    // the flight recorder attached — reproduces the divergent decode exactly
-    // while keeping the common sampled path on the fast loop.
-    RingBufferSink ring(kRingCapacity);
-    const DecodeSummary shadowTraced = shadow_(p, &ring);
-    out->bundlePath = bundleFn_(*out, p, shadowTraced, ring);
-  }
+  if (bundleFn_) out->bundlePath = bundleFn_(*out, p, shadow);
   divergences_.fetch_add(1, std::memory_order_relaxed);
   events_.push_back(*out);
   return out;

@@ -34,8 +34,6 @@
 #include "cga/exec_tier.hpp"
 #include "common/types.hpp"
 #include "core/processor.hpp"
-#include "trace/span.hpp"
-#include "trace/trace.hpp"
 
 namespace adres::obs {
 
@@ -64,8 +62,7 @@ struct DecodeSummary {
 
 /// One decoded packet as the self-auditing layer sees it: identity, the
 /// exact payload, the cycle budget its decode ran under, and that decode's
-/// summary and span tree — what the sentinel audits and what a postmortem
-/// bundle freezes.
+/// summary — what the sentinel audits and what a postmortem bundle freezes.
 struct DecodedPacket {
   u64 jobId = 0;
   u32 tag = 0;
@@ -76,7 +73,6 @@ struct DecodedPacket {
   u64 maxCycles = 0;
   const std::array<std::vector<cint16>, 2>& rx;
   const DecodeSummary& primary;
-  const trace::PacketSpans& spans;  ///< empty unless span recording is on
 };
 
 /// One detected primary/shadow mismatch.
@@ -111,18 +107,14 @@ ExecTier shadowTierFor(ExecTier primary);
 class DivergenceSentinel {
  public:
   /// Shadow decoder: decodes `p.rx` on the held-back tier under
-  /// `p.maxCycles` and summarizes the result.  A non-null `trace` must be
-  /// attached to the decode (only the divergence re-decode passes one, so
-  /// the common sampled path stays on the fast loop).
-  using ShadowDecodeFn =
-      std::function<DecodeSummary(const DecodedPacket& p, TraceSink* trace)>;
-  /// Bundle writer hook, called per divergence (after the re-decode) with
-  /// the event, the audited packet, the shadow summary and the shadow's
-  /// flight-recorder ring; returns the persisted bundle path ("" when not
-  /// persisted).
-  using BundleFn = std::function<std::string(
-      const IntegrityEvent& ev, const DecodedPacket& p,
-      const DecodeSummary& shadow, const RingBufferSink& ring)>;
+  /// `p.maxCycles` and summarizes the result.
+  using ShadowDecodeFn = std::function<DecodeSummary(const DecodedPacket& p)>;
+  /// Bundle writer hook, called per divergence with the event, the audited
+  /// packet and the audit's shadow summary; returns the persisted bundle
+  /// path ("" when not persisted).
+  using BundleFn = std::function<std::string(const IntegrityEvent& ev,
+                                             const DecodedPacket& p,
+                                             const DecodeSummary& shadow)>;
 
   /// `primaryTier` is the tier the audited traffic decodes on; `shadow`
   /// must decode on shadowTier() == shadowTierFor(primaryTier).
@@ -134,9 +126,10 @@ class DivergenceSentinel {
   /// Deterministic sampling decision for a packet trace id.
   bool shouldSample(u64 traceId) const;
 
-  /// Shadow-decodes `p.rx`, compares against `p.primary`, and on mismatch
-  /// records (and returns) an IntegrityEvent.  Serialized internally: one
-  /// shadow decode at a time.  Call only when shouldSample() returned true.
+  /// Shadow-decodes `p.rx` once, compares against `p.primary`, and on
+  /// mismatch records (and returns) an IntegrityEvent, bundling that same
+  /// shadow summary.  Serialized internally: one shadow decode at a time.
+  /// Call only when shouldSample() returned true.
   std::optional<IntegrityEvent> audit(const DecodedPacket& p);
 
   /// Installs the postmortem bundle writer.  Set before traffic.

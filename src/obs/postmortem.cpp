@@ -7,26 +7,13 @@
 
 #include "common/atomic_file.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/json_escape.hpp"
 #include "common/json_min.hpp"
 #include "obs/buildinfo.hpp"
-#include "trace/export.hpp"
 
 namespace adres::obs {
 namespace {
-
-u64 hexToU64(const std::string& s) {
-  ADRES_CHECK(!s.empty() && s.size() <= 16, "bad hex u64 '" << s << '\'');
-  u64 v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<u64>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<u64>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<u64>(c - 'A' + 10);
-    else ADRES_CHECK(false, "bad hex digit in '" << s << '\'');
-  }
-  return v;
-}
 
 void writeDecodeSummary(const DecodeSummary& r, std::ostream& os,
                         const char* pad) {
@@ -58,36 +45,39 @@ void writeRx(const std::vector<cint16>& rx, std::ostream& os) {
 
 DecodeSummary parseDecodeSummary(const json::JsonValue& v) {
   DecodeSummary r;
-  r.detected = v.at("detected").boolean;
-  r.ltfStart = static_cast<u32>(v.at("ltf_start").number);
-  r.stop = v.at("stop").str;
-  r.cycles = static_cast<u64>(v.at("cycles").number);
-  r.totalOps = static_cast<u64>(v.at("total_ops").number);
-  const std::string& bits = v.at("bits").str;
+  r.detected = v.get<bool>("detected");
+  r.ltfStart = v.get<u32>("ltf_start");
+  r.stop = v.get<std::string>("stop");
+  r.cycles = v.get<u64>("cycles");
+  r.totalOps = v.get<u64>("total_ops");
+  const std::string bits = v.get<std::string>("bits");
   r.bits.reserve(bits.size());
-  for (const char c : bits) r.bits.push_back(c == '1' ? 1 : 0);
-  for (const json::JsonValue& rv : v.at("regions").array) {
+  for (const char c : bits) {
+    ADRES_CHECK(c == '0' || c == '1', "bits must be a string of 0s and 1s");
+    r.bits.push_back(c == '1' ? 1 : 0);
+  }
+  for (const json::JsonValue& rv :
+       v.at("regions", json::JsonValue::kArray).array) {
     RegionProfile p;
-    p.cycles = static_cast<u64>(rv.at("cycles").number);
-    p.vliwCycles = static_cast<u64>(rv.at("vliw_cycles").number);
-    p.cgaCycles = static_cast<u64>(rv.at("cga_cycles").number);
-    p.ops = static_cast<u64>(rv.at("ops").number);
-    p.vliwOps = static_cast<u64>(rv.at("vliw_ops").number);
-    p.cgaOps = static_cast<u64>(rv.at("cga_ops").number);
-    p.entries = static_cast<u64>(rv.at("entries").number);
-    r.regions[static_cast<int>(rv.at("id").number)] = p;
+    p.cycles = rv.get<u64>("cycles");
+    p.vliwCycles = rv.get<u64>("vliw_cycles");
+    p.cgaCycles = rv.get<u64>("cga_cycles");
+    p.ops = rv.get<u64>("ops");
+    p.vliwOps = rv.get<u64>("vliw_ops");
+    p.cgaOps = rv.get<u64>("cga_ops");
+    p.entries = rv.get<u64>("entries");
+    r.regions[rv.get<int>("id")] = p;
   }
   return r;
 }
 
 std::vector<cint16> parseRx(const json::JsonValue& v) {
-  ADRES_CHECK(v.array.size() % 2 == 0, "rx sample array length must be even");
+  ADRES_CHECK(v.type == json::JsonValue::kArray && v.array.size() % 2 == 0,
+              "each rx stream must be an array of even length");
   std::vector<cint16> out;
   out.reserve(v.array.size() / 2);
-  for (std::size_t i = 0; i < v.array.size(); i += 2) {
-    out.push_back({static_cast<i16>(v.array[i].number),
-                   static_cast<i16>(v.array[i + 1].number)});
-  }
+  for (std::size_t i = 0; i < v.array.size(); i += 2)
+    out.push_back({v.array[i].as<i16>("rx"), v.array[i + 1].as<i16>("rx")});
   return out;
 }
 
@@ -100,13 +90,13 @@ void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
      << "  \"reason\": \"" << json::escape(b.reason) << "\",\n"
      << "  \"job_id\": " << b.jobId << ",\n  \"tag\": " << b.tag
      << ",\n  \"worker\": " << b.worker << ",\n  \"trace_id\": \""
-     << trace::traceIdHex(b.traceId) << "\",\n  \"config\": {\n"
+     << hex64(b.traceId) << "\",\n  \"config\": {\n"
      << "    \"modulation\": " << b.modulation
      << ",\n    \"num_symbols\": " << b.numSymbols
      << ",\n    \"exec_tier\": \"" << json::escape(b.execTier)
      << "\",\n    \"shadow_tier\": \"" << json::escape(b.shadowTier)
      << "\",\n    \"max_cycles\": " << b.maxCycles
-     << ",\n    \"fault_inject_seed\": \"" << trace::traceIdHex(b.faultInjectSeed)
+     << ",\n    \"fault_inject_seed\": \"" << hex64(b.faultInjectSeed)
      << "\"\n  },\n  \"rx\": [\n    ";
   writeRx(b.rx[0], os);
   os << ",\n    ";
@@ -119,13 +109,7 @@ void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
   } else {
     os << "null";
   }
-  os << ",\n  \"spans\": [";
-  trace::writeSpanJsonEntries(b.spans.spans, os, 4);
-  os << "\n  ],\n  \"ring\": {\n    \"capacity\": " << b.ringCapacity
-     << ",\n    \"accepted\": " << b.ringAccepted
-     << ",\n    \"dropped\": " << b.ringDropped << ",\n    \"events\": [";
-  trace::writeTraceEventJsonEntries(b.ring, os, 6);
-  os << "\n    ]\n  },\n  \"buildinfo\": ";
+  os << ",\n  \"buildinfo\": ";
   {
     std::ostringstream bi;
     writeBuildInfoJson(bi);
@@ -152,61 +136,29 @@ PostmortemBundle loadPostmortemBundle(const std::string& path) {
               "'" << path << "' is not an adres.postmortem.v1 bundle");
 
   PostmortemBundle b;
-  b.trigger = root.at("trigger").str;
-  b.reason = root.at("reason").str;
-  b.jobId = static_cast<u64>(root.at("job_id").number);
-  b.tag = static_cast<u32>(root.at("tag").number);
-  b.worker = static_cast<int>(root.at("worker").number);
-  b.traceId = hexToU64(root.at("trace_id").str);
+  b.trigger = root.get<std::string>("trigger");
+  b.reason = root.get<std::string>("reason");
+  b.jobId = root.get<u64>("job_id");
+  b.tag = root.get<u32>("tag");
+  b.worker = root.get<int>("worker");
+  b.traceId = parseHex64(root.get<std::string>("trace_id"));
 
-  const json::JsonValue& cfg = root.at("config");
-  b.modulation = static_cast<int>(cfg.at("modulation").number);
-  b.numSymbols = static_cast<int>(cfg.at("num_symbols").number);
-  b.execTier = cfg.at("exec_tier").str;
-  b.shadowTier = cfg.at("shadow_tier").str;
-  b.maxCycles = static_cast<u64>(cfg.at("max_cycles").number);
-  b.faultInjectSeed = hexToU64(cfg.at("fault_inject_seed").str);
+  const json::JsonValue& cfg = root.at("config", json::JsonValue::kObject);
+  b.modulation = cfg.get<int>("modulation");
+  b.numSymbols = cfg.get<int>("num_symbols");
+  b.execTier = cfg.get<std::string>("exec_tier");
+  b.shadowTier = cfg.get<std::string>("shadow_tier");
+  b.maxCycles = cfg.get<u64>("max_cycles");
+  b.faultInjectSeed = parseHex64(cfg.get<std::string>("fault_inject_seed"));
 
-  const json::JsonValue& rx = root.at("rx");
+  const json::JsonValue& rx = root.at("rx", json::JsonValue::kArray);
   ADRES_CHECK(rx.array.size() == 2, "bundle rx must hold two antenna streams");
   b.rx[0] = parseRx(rx.array[0]);
   b.rx[1] = parseRx(rx.array[1]);
 
-  b.primary = parseDecodeSummary(root.at("primary"));
-  const json::JsonValue& shadow = root.at("shadow");
-  if (shadow.type == json::JsonValue::kObject)
-    b.shadow = parseDecodeSummary(shadow);
-
-  b.spans.traceId = b.traceId;
-  b.spans.jobId = b.jobId;
-  b.spans.worker = b.worker;
-  b.spans.tag = b.tag;
-  for (const json::JsonValue& sv : root.at("spans").array) {
-    trace::Span s;
-    s.kind = trace::spanKindFromName(sv.at("kind").str);
-    s.name = sv.at("name").str;
-    s.startUs = sv.at("start_us").number;
-    s.durUs = sv.at("dur_us").number;
-    s.startCycle = static_cast<u64>(sv.at("start_cycle").number);
-    s.cycles = static_cast<u64>(sv.at("cycles").number);
-    s.ops = static_cast<u64>(sv.at("ops").number);
-    b.spans.spans.push_back(std::move(s));
-  }
-
-  const json::JsonValue& ring = root.at("ring");
-  b.ringCapacity = static_cast<std::size_t>(ring.at("capacity").number);
-  b.ringAccepted = static_cast<u64>(ring.at("accepted").number);
-  b.ringDropped = static_cast<u64>(ring.at("dropped").number);
-  for (const json::JsonValue& ev : ring.at("events").array) {
-    TraceEvent e;
-    e.cycle = static_cast<u64>(ev.at("cycle").number);
-    e.dur = static_cast<u64>(ev.at("dur").number);
-    e.kind = trace::traceEventKindFromName(ev.at("kind").str);
-    e.track = static_cast<u8>(ev.at("track").number);
-    e.a = static_cast<u32>(ev.at("a").number);
-    e.b = static_cast<u32>(ev.at("b").number);
-    b.ring.push_back(e);
-  }
+  b.primary = parseDecodeSummary(root.at("primary", json::JsonValue::kObject));
+  if (root.at("shadow").type != json::JsonValue::kNull)
+    b.shadow = parseDecodeSummary(root.at("shadow", json::JsonValue::kObject));
   return b;
 }
 
@@ -220,7 +172,7 @@ std::string PostmortemWriter::write(const PostmortemBundle& b) {
   // (one farm per bench_farm row) never reuse a file name.
   static std::atomic<u64> fileSeq{0};
   const std::string path =
-      cfg_.dir + "/postmortem_" + trace::traceIdHex(b.traceId) + "_" +
+      cfg_.dir + "/postmortem_" + hex64(b.traceId) + "_" +
       std::to_string(fileSeq.fetch_add(1, std::memory_order_relaxed)) +
       ".json";
   // Written outside the lock: the embedded metrics snapshot may read

@@ -3,17 +3,16 @@
 // When the self-auditing runtime trips — a sentinel divergence, a decode
 // that stopped without halting, or an SLO breach — a farm with capture on
 // freezes the whole incident into one atomic JSON file: the exact rx
-// payload, modem configuration and cycle budget needed to re-run the packet
-// (the black box *and* the flight), both decode results with their
-// per-region counter partitions, the span tree, the shadow decode's
-// flight-recorder ring, the registry's Prometheus exposition and the build
-// identity.
-// `tools/postmortem_replay` re-runs each recorded decode by its own recipe
-// and confirms (or refutes) the recorded failure.
+// payload, modem configuration and cycle budget needed to re-run the packet,
+// both decode results with their per-region counter partitions, the
+// registry's Prometheus exposition and the build identity.  Any trace of
+// the packet can be taken after the fact: `tools/postmortem_replay`
+// re-runs each recorded decode by its own recipe and confirms (or refutes)
+// the recorded failure.
 //
 // Writes are atomic (writeFileAtomic: tmp file + rename) and the store is
 // bounded (oldest-evicted).  64-bit values that do not survive a double
-// round-trip (trace id, fault seed) are serialized as 16-hex-digit strings.
+// round-trip (trace id, fault seed) are serialized as hex64 strings.
 #pragma once
 
 #include <array>
@@ -27,8 +26,6 @@
 #include "core/processor.hpp"
 #include "obs/integrity.hpp"
 #include "obs/metrics.hpp"
-#include "trace/span.hpp"
-#include "trace/trace.hpp"
 
 namespace adres::obs {
 
@@ -72,12 +69,6 @@ struct PostmortemBundle {
 
   DecodeSummary primary;                ///< the serving-path decode (execTier)
   std::optional<DecodeSummary> shadow;  ///< the sentinel's (shadowTier)
-
-  trace::PacketSpans spans;      ///< span tree (may be empty)
-  std::vector<TraceEvent> ring;  ///< flight-recorder ring of the shadow redo
-  u64 ringAccepted = 0;
-  u64 ringDropped = 0;
-  std::size_t ringCapacity = 0;
 };
 
 /// Serializes a bundle as adres.postmortem.v1.  `metrics`, when non-null,
@@ -88,8 +79,11 @@ void writePostmortemJson(const PostmortemBundle& b, std::ostream& os,
 
 /// Parses an adres.postmortem.v1 file back into a bundle (via
 /// common/json_min).  The embedded "metrics" and "buildinfo" blocks are
-/// diagnostic context only and are not re-materialized.  Throws SimError on
-/// a missing file, wrong schema, or malformed content.
+/// diagnostic context only and are not re-materialized; the "spans" and
+/// "ring" blocks older writers added are ignored.  Throws SimError on a
+/// missing file or wrong schema, and std::runtime_error (naming the key)
+/// on malformed content: a wrong JSON type, or a number its field cannot
+/// hold.
 PostmortemBundle loadPostmortemBundle(const std::string& path);
 
 /// Bounded, thread-safe bundle store with atomic writes.

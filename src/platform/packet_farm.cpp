@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "cga/exec_tier.hpp"
+#include "common/hash.hpp"
 #include "power/energy_model.hpp"
 
 namespace adres::platform {
@@ -16,9 +17,8 @@ void FarmStats::writeJson(std::ostream& os) const {
 PacketFarm::PacketFarm(FarmConfig cfg)
     : cfg_(std::move(cfg)), queue_(cfg_.queueCapacity) {
   ADRES_CHECK(cfg_.numWorkers >= 1, "farm needs at least one worker");
-  // Heartbeats and region logs are per worker, wired in workerMain.
+  // Heartbeats are per worker, wired in workerMain.
   cfg_.run.progressCycles = nullptr;
-  cfg_.run.regionLog = nullptr;
   if (cfg_.postmortem.enabled)
     postmortems_ = std::make_unique<obs::PostmortemWriter>(cfg_.postmortem);
   workerStats_.resize(static_cast<std::size_t>(cfg_.numWorkers));
@@ -41,23 +41,18 @@ PacketFarm::PacketFarm(FarmConfig cfg)
     shadow_ = std::make_unique<RxSession>(cfg_.modem, shadowRun);
     sentinel_ = std::make_unique<obs::DivergenceSentinel>(
         cfg_.sentinel, cfg_.run.exec.tier,
-        [this](const obs::DecodedPacket& p, TraceSink* trace) {
+        [this](const obs::DecodedPacket& p) {
           sdr::ProcessorRxResult res;
-          shadow_->decodeInto(p.rx, res, p.maxCycles, trace);
+          shadow_->decodeInto(p.rx, res, p.maxCycles);
           return shadow_->summarize(res);
         });
     if (postmortems_) {
       sentinel_->setBundleFn([this](const obs::IntegrityEvent& ev,
                                     const obs::DecodedPacket& p,
-                                    const obs::DecodeSummary& shadow,
-                                    const RingBufferSink& ring) {
+                                    const obs::DecodeSummary& shadow) {
         obs::PostmortemBundle b = bundleFor("divergence", ev.detail, p);
         b.shadowTier = ev.shadowTier;
         b.shadow = shadow;
-        b.ring = ring.events();
-        b.ringAccepted = ring.accepted();
-        b.ringDropped = ring.dropped();
-        b.ringCapacity = ring.capacity();
         return postmortems_->write(b);
       });
     }
@@ -202,7 +197,6 @@ obs::PostmortemBundle PacketFarm::bundleFor(
   b.faultInjectSeed = cfg_.run.faultInjectBitFlipSeed;
   b.rx = p.rx;
   b.primary = p.primary;
-  b.spans = p.spans;
   return b;
 }
 
@@ -214,7 +208,7 @@ std::string PacketFarm::capturePostmortem(const std::string& trigger,
   return postmortems_->write(bundleFor(
       trigger, reason,
       {slow.id, slow.tag, slow.worker, slow.traceId, slow.maxCycles, slow.rx,
-       slow.summary, slow.spans}));
+       slow.summary}));
 }
 
 bool PacketFarm::ready(std::string* reason) const {
@@ -357,19 +351,17 @@ void PacketFarm::registerMetrics(obs::MetricsRegistry& reg) const {
                "simulated cycles of the slowest decode", [this] {
                  return static_cast<double>(slowestPacket().cycles);
                });
-  // Region-level breakdown of the slowest packet (needs span recording).
+  // Region-level breakdown of the slowest packet: its decode's partition.
   reg.addGaugeFamily(
       "adres_farm_slowest_packet_region_cycles",
       "per-region simulated cycles of the slowest decode", [this] {
         const SlowestPacket slow = slowestPacket();
-        std::map<std::string, double> byRegion;  // re-entered regions sum
-        for (const trace::Span& s : slow.spans.spans) {
-          if (s.kind == trace::SpanKind::kRegion)
-            byRegion[s.name] += static_cast<double>(s.cycles);
-        }
         std::vector<std::pair<obs::Labels, double>> out;
-        for (const auto& [name, cycles] : byRegion)
-          out.push_back({obs::Labels{{"region", name}}, cycles});
+        for (const auto& [id, rp] : slow.regions)
+          out.push_back(
+              {obs::Labels{{"region",
+                            regionName(modem_->program.regionNames, id)}},
+               static_cast<double>(rp.cycles)});
         return out;
       });
   // Farm-wide sim counter totals (the adres.counters.v1 key set) as one
@@ -392,24 +384,16 @@ void PacketFarm::workerMain(int idx) {
   WorkerTelemetry& tele = *telemetry_[static_cast<std::size_t>(idx)];
   sdr::RxRunOptions opts = cfg_.run;
   if (cfg_.watchdog.enabled) opts.progressCycles = &health.heartbeatCycles;
-  // Span recording fills the region log, which (like run.profile's kernel
-  // profiler) keeps the CGA fast path.
-  std::vector<RegionSpan> regionLog;
-  if (cfg_.spans) opts.regionLog = &regionLog;
   RxSession session(cfg_.modem, opts);
   // Session built: program fetched from the cache, plans resolved, program
   // loaded — this worker can take traffic (the /readyz source).
   workersReady_.fetch_add(1, std::memory_order_release);
-  const auto epochUs = [this] {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - startTime_)
-        .count();
-  };
   while (std::optional<RxJob> job = queue_.pop()) {
     health.beginJob(job->id);
-    const double dispatchUs = epochUs();
+    const double dispatchUs = std::chrono::duration<double, std::micro>(
+                                  Clock::now() - startTime_)
+                                  .count();
     if (cfg_.preDecodeHook) cfg_.preDecodeHook(idx, *job);
-    regionLog.clear();
     RxOutcome out;
     out.id = job->id;
     out.worker = idx;
@@ -420,15 +404,13 @@ void PacketFarm::workerMain(int idx) {
     const u64 budget = job->maxCycles != 0
                            ? std::min(job->maxCycles, cfg_.run.maxCycles)
                            : cfg_.run.maxCycles;
-    const double decodeStartUs = epochUs();
     const auto t0 = Clock::now();
     session.decodeInto(job->rx, out.result, budget);
     const double ns =
         std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
-    const double decodeEndUs = decodeStartUs + ns / 1000.0;
     out.hostUs = ns / 1000.0;
     out.avgPowerMw = power::averageActiveMw(session.processor());
-    out.traceId = trace::packetTraceId(job->id, job->tag);
+    out.traceId = packetTraceId(job->id, job->tag);
     out.queueWaitUs = std::max(0.0, dispatchUs - job->enqueueUs);
     // The rx payloads are dead once the decode's DMA has read them — UNLESS
     // the self-auditing layer still needs them: the packet is audited, or the
@@ -449,20 +431,13 @@ void PacketFarm::workerMain(int idx) {
     // exact for every packet collect() has returned.
     tele.setCounters(session.stats().counters);
 
-    trace::PacketSpans spans;
-    if (cfg_.spans) {
-      spans = trace::buildPacketSpans(
-          job->id, job->tag, idx, job->enqueueUs, dispatchUs, decodeStartUs,
-          decodeEndUs, out.result.cycles, regionLog,
-          session.modem().program.regionNames);
-    }
     // Self-auditing: summarize the primary decode once for whichever of the
     // sentinel audit / failure bundle / slowest-packet retention needs it.
     obs::DecodeSummary primary;
     if (retainPayload) {
       primary = session.summarize(out.result);
-      const obs::DecodedPacket pkt{job->id, job->tag, idx,     out.traceId,
-                                   budget,  job->rx,  primary, spans};
+      const obs::DecodedPacket pkt{job->id, job->tag, idx, out.traceId,
+                                   budget, job->rx, primary};
       if (auditThis) (void)sentinel_->audit(pkt);
       if (postmortems_ && out.result.stop != StopReason::kHalt) {
         (void)postmortems_->write(bundleFor(
@@ -480,7 +455,7 @@ void PacketFarm::workerMain(int idx) {
         slowest_.latencyUs = out.hostUs;
         slowest_.queueWaitUs = out.queueWaitUs;
         slowest_.cycles = out.result.cycles;
-        slowest_.spans = spans;
+        slowest_.regions = session.processor().profiles();
         if (postmortems_) {  // what capturePostmortem() freezes
           slowest_.rx = job->rx;
           slowest_.summary = primary;
@@ -492,8 +467,6 @@ void PacketFarm::workerMain(int idx) {
       samplePool_.release(std::move(job->rx[0]));
       samplePool_.release(std::move(job->rx[1]));
     }
-    if (cfg_.spans) out.spans = std::move(spans);
-
     watchdog_->noteDecodeEnd(idx, job->id, out.result.stop, out.result.cycles);
     health.endJob();
 

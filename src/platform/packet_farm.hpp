@@ -42,14 +42,13 @@
 #include "platform/buffer_pool.hpp"
 #include "platform/packet_queue.hpp"
 #include "platform/rx_session.hpp"
-#include "trace/span.hpp"
 
 namespace adres::platform {
 
 /// One packet to decode: the per-antenna waveforms plus submitter metadata.
 struct RxJob {
   u64 id = 0;  ///< submitter-chosen tag; ordered mode sorts outcomes by it
-  u32 tag = 0;  ///< submitter context (campaign cell index), span-labelled
+  u32 tag = 0;  ///< submitter context (campaign cell index), in the trace id
   std::array<std::vector<cint16>, 2> rx;
   double enqueueUs = 0;  ///< host µs on the farm epoch; set by submit()
   /// Per-job simulated-cycle budget; 0 = the farm default (FarmConfig::run).
@@ -70,8 +69,6 @@ struct RxOutcome {
   double hostUs = 0.0;      ///< host wall-clock latency of the decode
   u64 traceId = 0;          ///< deterministic per-packet trace id
   double queueWaitUs = 0.0;  ///< host µs between submit and worker dispatch
-  /// Per-packet span tree; populated only when FarmConfig::spans is set.
-  trace::PacketSpans spans;
 };
 
 struct FarmConfig {
@@ -89,11 +86,6 @@ struct FarmConfig {
   sdr::RxRunOptions run;
   /// Worker health supervision (stall detection, budget-exhaustion events).
   obs::WatchdogConfig watchdog;
-  /// Record a span tree per packet (returned in RxOutcome::spans).  Uses the
-  /// region-span log, not a TraceSink, so decodes stay on the fast path and
-  /// remain bit- and cycle-exact.  No farm path attaches a TraceSink to a
-  /// serving worker.
-  bool spans = false;
   /// Online divergence sentinel: deterministically sampled packets are
   /// shadow-decoded on the exec tier `run.exec.tier` does not use, under
   /// the packet's own cycle budget, and compared bit/cycle/counter-wise
@@ -193,7 +185,10 @@ class PacketFarm {
     double latencyUs = 0;
     double queueWaitUs = 0;
     u64 cycles = 0;
-    trace::PacketSpans spans;  ///< populated when span recording is on
+    /// The decode's per-region partition (the Table 2 view of where its
+    /// cycles went); always kept, and copied without allocating once the
+    /// map holds every region.
+    std::map<int, RegionProfile> regions;
     /// Retained only with postmortem capture on: the payload, decode
     /// summary and cycle budget needed to freeze this packet into a bundle
     /// after the fact.

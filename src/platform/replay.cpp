@@ -4,8 +4,8 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "platform/rx_session.hpp"
-#include "trace/span.hpp"
 
 namespace adres::platform {
 namespace {
@@ -42,7 +42,7 @@ ReplayReport replayPostmortem(const obs::PostmortemBundle& b) {
   rep.primaryReproduced = !primaryDiff;
   if (primaryDiff) {
     note("the primary record does not reproduce on " + b.execTier +
-         " (fault seed " + trace::traceIdHex(b.faultInjectSeed) +
+         " (fault seed " + hex64(b.faultInjectSeed) +
          ", record vs replay: " + primaryDiff->detail + ")");
   }
   std::optional<obs::IntegrityEvent> divergence;

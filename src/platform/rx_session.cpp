@@ -62,6 +62,7 @@ RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
   // This cold load arms it: every decode's load() only replays the DMA and
   // the state reset, and a session is ready to serve once constructed.
   opts_.exec.warmReload = true;
+  opts_.trace = nullptr;
   proc_.load(modem_->program, opts_.exec);
 }
 
@@ -73,15 +74,13 @@ sdr::ProcessorRxResult RxSession::decode(
 }
 
 void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
-                           sdr::ProcessorRxResult& out, u64 maxCycles,
-                           TraceSink* trace) {
+                           sdr::ProcessorRxResult& out, u64 maxCycles) {
   // DMA stats deliberately survive Processor::resetStats() (they account
   // the program-load transfers); clear them here so every decode's stats —
   // and the power model reading them — cover exactly one packet, as on a
   // freshly constructed processor.
   proc_.dma().resetStats();
   opts_.maxCycles = maxCycles;
-  opts_.trace = trace;
   sdr::runModemOnProcessor(proc_, *modem_, rx, opts_, out);
   // Stats reset on the next load; fold this packet's into the session total
   // (a block add plus one add per region, whose map nodes exist after the

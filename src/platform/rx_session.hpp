@@ -53,22 +53,21 @@ class RxSession {
  public:
   /// Fetches (or builds) the program for `cfg` and loads it: the session's
   /// one cold program load, paid before any decode.  `opts.maxCycles` is the
-  /// budget decode() runs under; a trace sink attaches per decode, through
-  /// decodeInto(), so `opts.trace` is not used.
+  /// budget decode() runs under.  `opts.trace` is not used: a session
+  /// decodes on the fast loop, and a trace of any recorded decode is taken
+  /// by re-running it (runModemOnProcessor with a sink).
   explicit RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts = {});
 
   /// Decodes one packet with the resident program under the session budget.
   sdr::ProcessorRxResult decode(const std::array<std::vector<cint16>, 2>& rx);
 
   /// Allocation-free variant: decodes into `out`, reusing its capacity,
-  /// under exactly `maxCycles` simulated cycles, with `trace` (when
-  /// non-null) attached to this decode only.  Combined with the warm
+  /// under exactly `maxCycles` simulated cycles.  Combined with the warm
   /// program reload and the fixed-size stats fold, a steady-state call
   /// performs no heap allocation (tools/alloc_gate asserts this) — the
   /// packet-farm hot path.
   void decodeInto(const std::array<std::vector<cint16>, 2>& rx,
-                  sdr::ProcessorRxResult& out, u64 maxCycles,
-                  TraceSink* trace = nullptr);
+                  sdr::ProcessorRxResult& out, u64 maxCycles);
 
   /// Summarizes the decode that just finished (`res` is its result) for the
   /// sentinel's comparison and for postmortem bundles: result metadata,
@@ -83,8 +82,7 @@ class RxSession {
 
  private:
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
-  /// The run options of the decode in flight: decodeInto() sets its budget
-  /// and trace sink.
+  /// The run options of the decode in flight: decodeInto() sets its budget.
   sdr::RxRunOptions opts_;
   u64 budget_;  ///< decode()'s budget: the constructor's opts.maxCycles
   Processor proc_;

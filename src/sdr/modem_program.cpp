@@ -736,7 +736,6 @@ void runModemOnProcessor(Processor& proc, const ModemOnProcessor& m,
   // a sink left dangling from an earlier traced run would otherwise be used.
   proc.setTrace(opts.trace);
   proc.setKernelProfiling(opts.profile);
-  proc.setRegionLog(opts.regionLog);
   ExecPolicy pol = opts.exec;
   if (!pol.plans) pol.plans = m.plansFor(pol.tier);
   proc.load(m.program, std::move(pol));

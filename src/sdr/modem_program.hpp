@@ -80,11 +80,9 @@ struct RxRunOptions {
   ExecPolicy exec;
   TraceSink* trace = nullptr;      ///< attached to the processor when set
   std::atomic<u64>* progressCycles = nullptr;  ///< heartbeat: cycles so far
-  bool profile = false;  ///< per-launch cycle-attribution (kernelProfiles())
-  /// Region-span log for per-packet span trees; entries are appended for
-  /// every closed region.  Unlike `trace`, both observability hooks keep the
-  /// CGA steady-state fast path engaged.
-  std::vector<RegionSpan>* regionLog = nullptr;
+  /// Per-launch cycle attribution (kernelProfiles()).  Unlike `trace` it
+  /// keeps the CGA steady-state fast path engaged.
+  bool profile = false;
   /// Test-only fault injection: when non-zero, one deterministically chosen
   /// payload bit (SplitMix64 of the seed, modulo the bit count) is flipped
   /// AFTER the gray-word decode — the simulated hardware is untouched, only

@@ -1,10 +1,7 @@
 #include "trace/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <string>
 
-#include "common/check.hpp"
 #include "common/json_escape.hpp"
 #include "isa/opcodes.hpp"
 
@@ -156,54 +153,6 @@ void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
        << "}}";
   }
   os << "\n]}\n";
-}
-
-void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
-                          int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  char buf[64];
-  const auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof buf, "%.10g", std::isfinite(v) ? v : 0.0);
-    return buf;
-  };
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    os << (i ? ",\n" : "\n") << pad << "{\"kind\": \"" << spanKindName(s.kind)
-       << "\", \"name\": \"" << json::escape(s.name)
-       << "\", \"start_us\": " << fmt(s.startUs)
-       << ", \"dur_us\": " << fmt(s.durUs)
-       << ", \"start_cycle\": " << s.startCycle << ", \"cycles\": " << s.cycles
-       << ", \"ops\": " << s.ops << '}';
-  }
-}
-
-void writeTraceEventJsonEntries(const std::vector<TraceEvent>& events,
-                                std::ostream& os, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    os << (i ? ",\n" : "\n") << pad << "{\"cycle\": " << e.cycle
-       << ", \"dur\": " << e.dur << ", \"kind\": \""
-       << traceEventKindName(e.kind)
-       << "\", \"track\": " << static_cast<int>(e.track) << ", \"a\": " << e.a
-       << ", \"b\": " << e.b << '}';
-  }
-}
-
-SpanKind spanKindFromName(std::string_view name) {
-  for (int k = 0; k <= static_cast<int>(SpanKind::kRegion); ++k) {
-    const SpanKind kind = static_cast<SpanKind>(k);
-    if (name == spanKindName(kind)) return kind;
-  }
-  ADRES_CHECK(false, "unknown span kind '" << std::string(name) << '\'');
-}
-
-TraceEventKind traceEventKindFromName(std::string_view name) {
-  for (int k = 0; k <= static_cast<int>(TraceEventKind::kResume); ++k) {
-    const TraceEventKind kind = static_cast<TraceEventKind>(k);
-    if (name == traceEventKindName(kind)) return kind;
-  }
-  ADRES_CHECK(false, "unknown trace event kind '" << std::string(name) << '\'');
 }
 
 }  // namespace adres::trace

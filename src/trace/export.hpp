@@ -1,5 +1,4 @@
-// Trace exporters: Chrome trace-event JSON (chrome://tracing / Perfetto),
-// plus the span and ring-event JSON fragments of postmortem bundles.
+// Trace exporter: Chrome trace-event JSON (chrome://tracing / Perfetto).
 //
 // The Chrome export maps the simulator onto one process with one named
 // track (tid) per VLIW issue slot and per CGA FU, plus tracks for the core
@@ -10,10 +9,8 @@
 
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "trace/span.hpp"
 #include "trace/trace.hpp"
 
 namespace adres::trace {
@@ -40,25 +37,5 @@ inline constexpr int kAhb = 52;
 void writeChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
                       const TraceNames& names = {},
                       double cyclePeriodUs = 1.0 / 400.0);
-
-// -- Artifact-harvest fragments ---------------------------------------------
-// The span-array and flight-recorder-ring JSON bodies of adres.postmortem.v1
-// bundles: one object per line at `indent` spaces, emitted between the
-// caller's '[' and ']' (a leading newline before the first entry, nothing
-// after the last).
-
-/// {"kind": "...", "name": "...", "start_us": .., "dur_us": ..,
-///  "start_cycle": N, "cycles": N, "ops": N}
-void writeSpanJsonEntries(const std::vector<Span>& spans, std::ostream& os,
-                          int indent);
-
-/// {"cycle": N, "dur": N, "kind": "...", "track": N, "a": N, "b": N}
-void writeTraceEventJsonEntries(const std::vector<TraceEvent>& events,
-                                std::ostream& os, int indent);
-
-/// Reverse lookups for the artifact loaders (postmortem_replay); throw
-/// SimError on an unknown label.
-SpanKind spanKindFromName(std::string_view name);
-TraceEventKind traceEventKindFromName(std::string_view name);
 
 }  // namespace adres::trace

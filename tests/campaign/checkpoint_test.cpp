@@ -1,5 +1,6 @@
 // adres.campaign.v1 checkpoints: lossless round-trip (including doubles),
-// deterministic bytes, spec-hash guarding, and the file variants.
+// deterministic bytes, spec-hash guarding, a loader that fails closed on
+// malformed fields, and the file variants.
 #include "campaign/checkpoint.hpp"
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace adres::campaign {
 namespace {
@@ -84,6 +86,33 @@ TEST(Checkpoint, RefusesADifferentSpec) {
   other.stop.maxTrials += 1;
   EXPECT_THROW(loadCheckpoint(ss, other), SimError)
       << "a checkpoint never silently resumes a different sweep";
+}
+
+TEST(Checkpoint, MalformedFieldsFailClosed) {
+  // Each edit makes one field of a well-formed checkpoint unrepresentable:
+  // the load must throw rather than cast the double (undefined behaviour
+  // for -1), truncate a fraction, or read a key's hex prefix as another
+  // cell's key (which silently re-ran the cell).
+  const SweepSpec spec = twoCellSpec();
+  const std::vector<CellSpec> cells = expand(spec);
+  std::stringstream ss;
+  writeCheckpoint(ss, spec, cells, {fakeResult(1), fakeResult(2)});
+  const std::string good = ss.str();
+  const std::string key = hex64(cells[0].key());
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"trials\": 38,", "\"trials\": -1,"},
+      {"\"bits\": 14592,", "\"bits\": 14592.5,"},
+      {"\"key\": \"" + key + "\"", "\"key\": \"" + key.substr(0, 4) + "zz\""},
+      {"\"stopReason\": \"ci\"", "\"stopReason\": 7"},
+  };
+  for (const auto& [from, to] : cases) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::istringstream is(text);
+    EXPECT_THROW(loadCheckpoint(is, spec), std::runtime_error) << to;
+  }
 }
 
 TEST(Checkpoint, FileVariantRoundTripsAndToleratesMissingFiles) {

@@ -1,6 +1,10 @@
 #include "common/rng.hpp"
 
 #include <cmath>
+#include <string>
+
+#include "common/check.hpp"
+#include "common/hash.hpp"
 
 #include <gtest/gtest.h>
 
@@ -62,6 +66,40 @@ TEST(Rng, GaussianMoments) {
   const double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.03);
   EXPECT_NEAR(var, 1.0, 0.05);
+}
+
+// Packet trace ids and the hex64 encoding of 64-bit ids (common/hash.hpp).
+
+TEST(TraceId, DeterministicNonZeroAndInputSensitive) {
+  EXPECT_EQ(packetTraceId(7, 3), packetTraceId(7, 3));
+  EXPECT_NE(packetTraceId(7, 3), packetTraceId(8, 3)) << "job id mixed in";
+  EXPECT_NE(packetTraceId(7, 3), packetTraceId(7, 4)) << "tag mixed in";
+  // Never 0, even for the all-zero input (0 is "no trace id").
+  EXPECT_NE(packetTraceId(0, 0), 0u);
+  for (u64 j = 0; j < 64; ++j) EXPECT_NE(packetTraceId(j, 0), 0u) << j;
+}
+
+TEST(TraceId, HexIs16LowercaseDigits) {
+  EXPECT_EQ(hex64(0), "0000000000000000");
+  EXPECT_EQ(hex64(0xabc), "0000000000000abc");
+  EXPECT_EQ(hex64(~0ull), "ffffffffffffffff");
+  EXPECT_EQ(hex64(0x0123456789abcdefull), "0123456789abcdef");
+  const std::string h = hex64(packetTraceId(42, 1));
+  ASSERT_EQ(h.size(), 16u);
+  for (const char c : h)
+    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
+}
+
+TEST(Hex64, ParseInvertsHex64AndRejectsEverythingElse) {
+  for (const u64 v : {u64{0}, u64{0xabc}, ~u64{0}, u64{0x0123456789abcdef},
+                      packetTraceId(42, 1)})
+    EXPECT_EQ(parseHex64(hex64(v)), v);
+  // The checkpoint key a stoull read as a different key ("…zz" stopped the
+  // parse early), short and long forms, and non-canonical spellings.
+  for (const char* bad : {"0123456789abcdzz", "abc", "", "0123456789abcdef0",
+                          "0123456789ABCDEF", " 123456789abcdef",
+                          "-123456789abcdef"})
+    EXPECT_THROW(parseHex64(bad), SimError) << bad;
 }
 
 }  // namespace

@@ -143,33 +143,27 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   cfg.enabled = true;
   cfg.sampleRate = 1.0;
   // Shadow decoder: always returns the clean summary, and records the budget
-  // it was asked to decode under and whether a recorder rode along.
+  // it was asked to decode under.
   std::vector<u64> shadowBudgets;
-  int tracedShadows = 0;
   DivergenceSentinel sentinel(cfg, ExecTier::kNative,
-                              [&](const DecodedPacket& p, TraceSink* trace) {
+                              [&](const DecodedPacket& p) {
                                 shadowBudgets.push_back(p.maxCycles);
-                                if (trace) ++tracedShadows;
                                 return summary();
                               });
   int bundleCalls = 0;
   sentinel.setBundleFn([&](const IntegrityEvent&, const DecodedPacket& p,
-                           const DecodeSummary& shadow,
-                           const RingBufferSink& ring) {
+                           const DecodeSummary& shadow) {
     ++bundleCalls;
     EXPECT_NE(p.primary.bits, shadow.bits);
-    EXPECT_EQ(p.spans.jobId, 7u) << "the audited packet's span tree";
-    EXPECT_EQ(ring.capacity(), 4096u);
+    EXPECT_EQ(p.jobId, 7u) << "the audited packet";
+    EXPECT_EQ(shadow.bits, summary().bits) << "the audit's own shadow";
     return std::string("bundles/b0.json");
   });
 
   const std::array<std::vector<cint16>, 2> rx{};  // stub decoder ignores it
-  trace::PacketSpans spans;
-  spans.jobId = 7;
   // Matching primary: no event.
   const DecodeSummary clean = summary();
-  EXPECT_FALSE(
-      sentinel.audit({1, 0, 0, 11, 20000, rx, clean, spans}).has_value());
+  EXPECT_FALSE(sentinel.audit({1, 0, 0, 11, 20000, rx, clean}).has_value());
   EXPECT_EQ(sentinel.sampled(), 1u);
   EXPECT_EQ(sentinel.divergences(), 0u);
   EXPECT_EQ(bundleCalls, 0);
@@ -177,7 +171,7 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   // Corrupted primary: event with identity fields + bundle.
   DecodeSummary bad = summary();
   bad.bits[3] ^= 1;
-  const auto ev = sentinel.audit({7, 42, 2, 1234, 30000, rx, bad, spans});
+  const auto ev = sentinel.audit({7, 42, 2, 1234, 30000, rx, bad});
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->jobId, 7u);
   EXPECT_EQ(ev->tag, 42u);
@@ -188,10 +182,9 @@ TEST(Sentinel, AuditRecordsDivergencesAndCallsHooks) {
   EXPECT_EQ(sentinel.sampled(), 2u);
   EXPECT_EQ(sentinel.divergences(), 1u);
   EXPECT_EQ(bundleCalls, 1);
-  // Every shadow decode runs under its packet's budget; only the divergence
-  // re-decode carries a flight recorder.
-  EXPECT_EQ(shadowBudgets, (std::vector<u64>{20000, 30000, 30000}));
-  EXPECT_EQ(tracedShadows, 1);
+  // One shadow decode per audit, divergent or not, each under its packet's
+  // budget: the bundle takes the audit's own shadow summary.
+  EXPECT_EQ(shadowBudgets, (std::vector<u64>{20000, 30000}));
   // events() records each divergence as audit() returned it.
   const std::vector<IntegrityEvent> events = sentinel.events();
   ASSERT_EQ(events.size(), 1u);

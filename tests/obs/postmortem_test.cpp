@@ -1,8 +1,10 @@
 // adres.postmortem.v1 bundles: write -> load round-trip fidelity, raw JSON
-// schema validation via json_min, and the bounded atomic PostmortemWriter
-// store (eviction, counters, file naming, on-disk lifecycle).
+// schema validation via json_min, a loader that fails closed on malformed
+// fields, and the bounded atomic PostmortemWriter store (eviction,
+// counters, file naming, on-disk lifecycle).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,7 +12,6 @@
 #include "common/check.hpp"
 #include "common/json_min.hpp"
 #include "obs/postmortem.hpp"
-#include "trace/span.hpp"
 
 namespace adres::obs {
 namespace {
@@ -68,39 +69,6 @@ PostmortemBundle fullBundle() {
                                static_cast<i16>(-i + 3 * c)});
   b.primary = record(123456, /*flipBit=*/true);
   b.shadow = record(123456, /*flipBit=*/false);
-
-  b.spans.traceId = b.traceId;
-  b.spans.jobId = b.jobId;
-  b.spans.worker = b.worker;
-  b.spans.tag = b.tag;
-  trace::Span sp;
-  sp.kind = trace::SpanKind::kDecode;
-  sp.name = "decode";
-  sp.startUs = 12.5;
-  sp.durUs = 800.25;
-  sp.startCycle = 0;
-  sp.cycles = 123456;
-  b.spans.spans.push_back(sp);
-  sp.kind = trace::SpanKind::kRegion;
-  sp.name = "fft";
-  sp.ops = 45000;
-  b.spans.spans.push_back(sp);
-
-  TraceEvent ev;
-  ev.cycle = 1000;
-  ev.dur = 16;
-  ev.kind = TraceEventKind::kKernel;
-  ev.track = 2;
-  ev.a = 5;
-  ev.b = 640;
-  b.ring.push_back(ev);
-  ev.cycle = 1016;
-  ev.dur = 0;
-  ev.kind = TraceEventKind::kModeSwitch;
-  b.ring.push_back(ev);
-  b.ringAccepted = 5000;
-  b.ringDropped = 904;
-  b.ringCapacity = 4096;
   return b;
 }
 
@@ -154,28 +122,6 @@ TEST(PostmortemBundleIo, WriteLoadRoundTripsEveryField) {
   expectRecordEq(r.primary, b.primary);
   ASSERT_TRUE(r.shadow.has_value());
   expectRecordEq(*r.shadow, *b.shadow);
-
-  EXPECT_EQ(r.spans.traceId, b.spans.traceId);
-  ASSERT_EQ(r.spans.spans.size(), b.spans.spans.size());
-  for (std::size_t i = 0; i < b.spans.spans.size(); ++i) {
-    EXPECT_EQ(r.spans.spans[i].kind, b.spans.spans[i].kind);
-    EXPECT_EQ(r.spans.spans[i].name, b.spans.spans[i].name);
-    EXPECT_DOUBLE_EQ(r.spans.spans[i].durUs, b.spans.spans[i].durUs);
-    EXPECT_EQ(r.spans.spans[i].cycles, b.spans.spans[i].cycles);
-    EXPECT_EQ(r.spans.spans[i].ops, b.spans.spans[i].ops);
-  }
-  ASSERT_EQ(r.ring.size(), b.ring.size());
-  for (std::size_t i = 0; i < b.ring.size(); ++i) {
-    EXPECT_EQ(r.ring[i].cycle, b.ring[i].cycle);
-    EXPECT_EQ(r.ring[i].dur, b.ring[i].dur);
-    EXPECT_EQ(r.ring[i].kind, b.ring[i].kind);
-    EXPECT_EQ(r.ring[i].track, b.ring[i].track);
-    EXPECT_EQ(r.ring[i].a, b.ring[i].a);
-    EXPECT_EQ(r.ring[i].b, b.ring[i].b);
-  }
-  EXPECT_EQ(r.ringAccepted, b.ringAccepted);
-  EXPECT_EQ(r.ringDropped, b.ringDropped);
-  EXPECT_EQ(r.ringCapacity, b.ringCapacity);
 }
 
 TEST(PostmortemBundleIo, AShadowlessBundleRoundTripsInvalidShadow) {
@@ -228,6 +174,43 @@ TEST(PostmortemBundleIo, RawJsonMatchesTheV1Schema) {
       << root.at("metrics").str;
   EXPECT_TRUE(root.at("primary").at("detected").boolean);
   EXPECT_EQ(root.at("rx").array.size(), 2u);
+}
+
+TEST(PostmortemBundleIo, MalformedFieldsFailClosedNamingTheKey) {
+  // Each edit of a well-formed bundle makes one field unrepresentable in
+  // its type; the load must throw naming that key instead of casting the
+  // double (undefined behaviour out of range) or reading an empty value.
+  std::ostringstream os;
+  writePostmortemJson(fullBundle(), os);
+  const std::string good = os.str();
+  const struct {
+    const char* from;
+    const char* to;
+    const char* key;
+  } cases[] = {
+      {"\"worker\": 3,", "\"worker\": 1e30,", "worker"},
+      {"\"job_id\": 41,", "\"job_id\": -1,", "job_id"},
+      {"[-32,0,", "[40000,0,", "rx"},  // outside a 16-bit sample
+      {"\"max_cycles\": 200000000", "\"max_cycles\": \"abc\"",
+       "max_cycles"},
+      {"\"ltf_start\": 160", "\"ltf_start\": 160.5", "ltf_start"},
+      {"\"regions\": [", "\"regions\": {\"a\": 1}, \"x\": [", "regions"},
+  };
+  const std::string path = testing::TempDir() + "adres_pm_malformed.json";
+  for (const auto& c : cases) {
+    std::string text = good;
+    const std::size_t at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    text.replace(at, std::strlen(c.from), c.to);
+    std::ofstream(path) << text;
+    try {
+      (void)loadPostmortemBundle(path);
+      ADD_FAILURE() << c.to << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(PostmortemWriter, BoundsTheStoreByEvictingOldest) {

@@ -110,6 +110,49 @@ TEST(BenchArgs, NonNumericValueForNumericBindingFails) {
     EXPECT_FALSE(parseTokens(d.args, {"--port", "80x"}));  // trailing junk
     EXPECT_TRUE(d.args.parseError());
   }
+  // Out of an int's range (4294967298 used to wrap to 2) and non-finite
+  // doubles (nan used to switch the sentinel off) fail too.
+  for (const char* bad :
+       {"4294967298", "-2147483649", "99999999999999999999"}) {
+    Declared d;
+    EXPECT_FALSE(parseTokens(d.args, {bad})) << bad;
+    EXPECT_TRUE(d.args.parseError()) << bad;
+    EXPECT_EQ(d.packets, 24) << bad;
+  }
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "-1e999"}) {
+    Declared d;
+    EXPECT_FALSE(parseTokens(d.args, {"--miss", bad})) << bad;
+    EXPECT_TRUE(d.args.parseError()) << bad;
+    EXPECT_EQ(d.miss, 0.05) << bad;
+  }
+}
+
+TEST(BenchArgs, SweepAxesFollowTheWholeTokenRule) {
+  std::vector<double> d;
+  std::vector<int> n;
+  std::string bad;
+  ASSERT_TRUE(parseAxis("10:4:30", d, bad));
+  EXPECT_EQ(d, (std::vector<double>{10, 14, 18, 22, 26, 30}));
+  ASSERT_TRUE(parseAxis("1,-2.5,,3e1", d, bad));
+  EXPECT_EQ(d, (std::vector<double>{1, -2.5, 30}));
+  ASSERT_TRUE(parseAxis("2:2:6", n, bad));
+  EXPECT_EQ(n, (std::vector<int>{2, 4, 6}));
+  // Each bad axis names its offending token ("abc" used to run a 0 dB
+  // cell, "1x" one tap, "1e999" a cfoinf cell).
+  const std::pair<const char*, const char*> badDoubles[] = {
+      {"abc", "abc"},     {"10,abc", "abc"},   {"1e999", "1e999"},
+      {"nan", "nan"},     {"10:4", "10:4"},    {"10:0:30", "10:0:30"},
+      {"0:x:1", "0:x:1"}, {"0:1e-9:1", "0:1e-9:1"}};
+  for (const auto& [axis, token] : badDoubles) {
+    bad.clear();
+    EXPECT_FALSE(parseAxis(axis, d, bad)) << axis;
+    EXPECT_EQ(bad, token) << axis;
+  }
+  for (const char* axis : {"1x", "1.5", "4294967298"}) {
+    bad.clear();
+    EXPECT_FALSE(parseAxis(axis, n, bad)) << axis;
+    EXPECT_EQ(bad, axis);
+  }
 }
 
 TEST(BenchArgs, MissingFlagValueAndExcessPositionalsFail) {

@@ -419,10 +419,10 @@ TEST(PacketFarm, PerWorkerSeriesEqualSumsOverCollectedOutcomes) {
 }
 
 TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
-  // Spans + kernel profiling (run.profile) enabled at once against a plain
-  // farm: observation must not change a single bit or cycle, and every
-  // observability product (span trees, merged profile, slowest-packet view,
-  // Prometheus histogram) must materialize.
+  // Kernel profiling (run.profile) against a plain farm: observation must
+  // not change a single bit or cycle, and every observability product
+  // (merged profile, slowest-packet view, Prometheus histogram) must
+  // materialize.
   const dsp::ModemConfig cfg = smallConfig();
   constexpr int kPackets = 8;
   std::vector<std::array<std::vector<cint16>, 2>> waves;
@@ -441,7 +441,6 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
   FarmConfig fc;
   fc.modem = cfg;
   fc.numWorkers = 3;
-  fc.spans = true;
   fc.run.profile = true;
   obs::MetricsRegistry reg;
   PacketFarm farm(fc);
@@ -455,26 +454,9 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
     EXPECT_EQ(o.result.bits, base[i].result.bits) << "packet " << i;
     EXPECT_EQ(o.result.cycles, base[i].result.cycles)
         << "observability must not move a cycle, packet " << i;
-    EXPECT_EQ(o.traceId, trace::packetTraceId(o.id, 0));
+    EXPECT_EQ(o.traceId, packetTraceId(o.id, 0));
     EXPECT_NE(o.traceId, 0u);
     EXPECT_GE(o.queueWaitUs, 0.0);
-    // The span tree is attached and internally consistent.
-    ASSERT_FALSE(o.spans.empty()) << "packet " << i;
-    EXPECT_EQ(o.spans.traceId, o.traceId);
-    EXPECT_EQ(o.spans.jobId, o.id);
-    const trace::Span* decode = o.spans.find(trace::SpanKind::kDecode);
-    ASSERT_NE(decode, nullptr);
-    EXPECT_EQ(decode->cycles, o.result.cycles);
-    EXPECT_NEAR(o.spans.queueWaitUs(), o.queueWaitUs, 1e-9);
-    u64 regionChildren = 0, regionCycles = 0;
-    for (const trace::Span& s : o.spans.spans) {
-      if (s.kind != trace::SpanKind::kRegion) continue;
-      ++regionChildren;
-      regionCycles += s.cycles;
-      EXPECT_FALSE(s.name.empty());
-    }
-    EXPECT_GT(regionChildren, 4u) << "one child per modem region entered";
-    EXPECT_LE(regionCycles, o.result.cycles);
   }
 
   // Merged cycle-attribution profile: one fold per packet, partition exact.
@@ -489,11 +471,14 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
   }
   EXPECT_EQ(farm.stats().queueWaitNs.count, static_cast<u64>(kPackets));
 
-  // Live slowest-packet view carries its span tree.
+  // Live slowest-packet view carries its decode's region partition.
   const PacketFarm::SlowestPacket slow = farm.slowestPacket();
   EXPECT_GT(slow.latencyUs, 0.0);
   EXPECT_NE(slow.traceId, 0u);
-  EXPECT_FALSE(slow.spans.empty());
+  EXPECT_GT(slow.regions.size(), 4u) << "one entry per modem region entered";
+  u64 regionCycles = 0;
+  for (const auto& [id, rp] : slow.regions) regionCycles += rp.cycles;
+  EXPECT_LE(regionCycles, slow.cycles);
 
   // Prometheus exposition: one latency family (the summary) counts every
   // packet, and the queue-wait summary and slowest-packet region breakdown
@@ -510,6 +495,44 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
             std::string::npos);
 
   reg.clear();  // teardown barrier before the farm dies
+}
+
+TEST(PacketFarm, SlowestPacketRegionCyclesAreLiveWithoutAnySwitch) {
+  // A farm with no observability switch serves the slowest decode's
+  // per-region cycles, each equal to that decode's own region partition
+  // (re-decoded here on a fresh session).
+  const dsp::ModemConfig cfg = smallConfig();
+  std::vector<std::array<std::vector<cint16>, 2>> waves;
+  for (int i = 0; i < 3; ++i) waves.push_back(makePacket(cfg, i).first);
+  FarmConfig fc;
+  fc.modem = cfg;
+  obs::MetricsRegistry reg;
+  PacketFarm farm(fc);
+  farm.registerMetrics(reg);
+  for (const auto& rx : waves) (void)farm.submit(rx);
+  (void)farm.collect();
+
+  const PacketFarm::SlowestPacket slow = farm.slowestPacket();
+  RxSession ref(cfg);
+  (void)ref.decode(waves.at(slow.id));
+  const std::map<int, RegionProfile>& regions = ref.processor().profiles();
+  ASSERT_GT(regions.size(), 4u);
+
+  std::map<std::string, double> served;
+  for (const obs::MetricSample& m : reg.snapshot().samples) {
+    if (m.name != "adres_farm_slowest_packet_region_cycles") continue;
+    ASSERT_EQ(m.labels.size(), 1u);
+    EXPECT_TRUE(served.emplace(m.labels[0].second, m.value).second)
+        << "one series per region: " << m.labels[0].second;
+  }
+  ASSERT_EQ(served.size(), regions.size());
+  for (const auto& [id, rp] : regions) {
+    const std::string name = regionName(ref.modem().program.regionNames, id);
+    ASSERT_TRUE(served.count(name)) << name;
+    EXPECT_EQ(served.at(name), static_cast<double>(rp.cycles)) << name;
+  }
+  reg.clear();  // teardown barrier before the farm dies
+  (void)farm.finish();
 }
 
 TEST(RxSession, WarmReloadIsBitAndCycleExactWithColdReload) {

@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "dsp/channel.hpp"
@@ -145,9 +147,10 @@ TEST(SentinelFarm, CatchesInjectedBitFlipsWithAReplayableBundle) {
   EXPECT_NE(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
 }
 
-/// The divergence bundle a one-packet farm writes when its primary decodes
-/// with a planted fault and the sentinel audits every packet.
-obs::PostmortemBundle plantedFaultBundle(const std::string& dir) {
+/// The path of the divergence bundle a one-packet farm writes when its
+/// primary decodes with a planted fault and the sentinel audits every
+/// packet.
+std::string plantedFaultBundlePath(const std::string& dir) {
   FarmConfig fc;
   fc.modem = smallConfig();
   fc.run.faultInjectBitFlipSeed = 0xBADC0DEull;
@@ -158,7 +161,48 @@ obs::PostmortemBundle plantedFaultBundle(const std::string& dir) {
   PacketFarm farm(fc);
   (void)farm.submit(makePacket(fc.modem, 0).first);
   (void)farm.finish();
-  return obs::loadPostmortemBundle(farm.integrityEvents().at(0).bundlePath);
+  return farm.integrityEvents().at(0).bundlePath;
+}
+
+obs::PostmortemBundle plantedFaultBundle(const std::string& dir) {
+  return obs::loadPostmortemBundle(plantedFaultBundlePath(dir));
+}
+
+TEST(SentinelFarm, ABundleWithOlderSpanAndRingBlocksStillLoadsAndReplays) {
+  // Bundles written before the per-packet span tree and the shadow's trace
+  // ring were retired carry "spans" and "ring" blocks, in this form.  The
+  // loader ignores both, so such a bundle still confirms its divergence.
+  const std::string path =
+      plantedFaultBundlePath(freshDir("adres_sentinel_older_bundle"));
+  std::ostringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  std::string text = buf.str();
+  const std::size_t at = text.find("  \"buildinfo\": ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, R"(  "spans": [
+    {"kind": "packet", "name": "packet", "start_us": 0, "dur_us": 812.5, "start_cycle": 0, "cycles": 57622, "ops": 0},
+    {"kind": "region", "name": "fft", "start_us": 12.5, "dur_us": 100.25, "start_cycle": 100, "cycles": 9000, "ops": 4500}
+  ],
+  "ring": {
+    "capacity": 4096,
+    "accepted": 5000,
+    "dropped": 904,
+    "events": [
+      {"cycle": 1000, "dur": 16, "kind": "kernel", "track": 2, "a": 5, "b": 640},
+      {"cycle": 1016, "dur": 0, "kind": "mode_switch", "track": 2, "a": 5, "b": 640}
+    ]
+  },
+)");
+  const obs::PostmortemBundle plain = obs::loadPostmortemBundle(path);
+  std::ofstream(path) << text;
+  const obs::PostmortemBundle b = obs::loadPostmortemBundle(path);
+  EXPECT_EQ(b.traceId, plain.traceId);
+  EXPECT_EQ(b.rx, plain.rx);
+  EXPECT_EQ(b.primary.bits, plain.primary.bits);
+  ASSERT_TRUE(b.shadow.has_value());
+  const ReplayReport rep = replayPostmortem(b);
+  EXPECT_TRUE(rep.consistent) << rep.verdict;
+  EXPECT_NE(rep.verdict.find("CONFIRMED"), std::string::npos) << rep.verdict;
 }
 
 TEST(SentinelFarm, AnUnexplainedCorruptionDoesNotReplayConsistent) {

@@ -4,7 +4,8 @@
 //   $ ./campaign_runner --mod qam16,qam64 --snr 10:4:30 --taps 1 --flat
 //         --workers 4 --checkpoint camp.json
 //
-// Axes take comma lists ("10,20,30") or lo:step:hi ranges ("10:4:30").
+// Axes take comma lists ("10,20,30") or lo:step:hi ranges ("10:4:30");
+// a token that is not a whole finite number exits 1 naming it.
 // With --checkpoint the adres.campaign.v1 file is rewritten atomically
 // after every completed cell; re-running the same command resumes from it
 // (--fresh ignores an existing file).  --stop-after-cells N exits after N
@@ -23,42 +24,6 @@
 using namespace adres;
 
 namespace {
-
-/// Parses "a,b,c" or "lo:step:hi" (inclusive hi, within 1e-9) into doubles.
-std::vector<double> parseAxis(const std::string& s) {
-  std::vector<double> out;
-  const std::size_t c1 = s.find(':');
-  if (c1 != std::string::npos) {
-    const std::size_t c2 = s.find(':', c1 + 1);
-    if (c2 != std::string::npos) {
-      const double lo = std::atof(s.substr(0, c1).c_str());
-      const double step = std::atof(s.substr(c1 + 1, c2 - c1 - 1).c_str());
-      const double hi = std::atof(s.substr(c2 + 1).c_str());
-      if (step > 0) {
-        for (double v = lo; v <= hi + 1e-9; v += step) out.push_back(v);
-        return out;
-      }
-    }
-    return out;  // malformed range -> empty, caught by expand()
-  }
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? std::string::npos
-                                                 : comma - pos);
-    if (!tok.empty()) out.push_back(std::atof(tok.c_str()));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::vector<int> parseAxisInt(const std::string& s) {
-  std::vector<int> out;
-  for (double v : parseAxis(s)) out.push_back(static_cast<int>(v));
-  return out;
-}
 
 bool parseMods(const std::string& s, std::vector<dsp::Modulation>& out) {
   out.clear();
@@ -146,10 +111,18 @@ int main(int argc, char** argv) {
 
   campaign::CampaignConfig cfg;
   if (!parseMods(mods, cfg.sweep.mods)) return 1;
-  cfg.sweep.snrDb = parseAxis(snr);
-  cfg.sweep.cfoPpm = parseAxis(cfo);
-  cfg.sweep.taps = parseAxisInt(taps);
-  cfg.sweep.numSymbols = parseAxisInt(symbols);
+  const auto axis = [](const char* flag, const std::string& s, auto& out) {
+    std::string bad;
+    if (bench::parseAxis(s, out, bad)) return true;
+    std::fprintf(stderr, "campaign_runner: --%s: bad value '%s'\n", flag,
+                 bad.c_str());
+    return false;
+  };
+  if (!axis("snr", snr, cfg.sweep.snrDb) ||
+      !axis("cfo", cfo, cfg.sweep.cfoPpm) ||
+      !axis("taps", taps, cfg.sweep.taps) ||
+      !axis("symbols", symbols, cfg.sweep.numSymbols))
+    return 1;
   cfg.sweep.delaySpread = delaySpread;
   cfg.sweep.flat = flat;
   cfg.sweep.seed = static_cast<u64>(seed);

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/check.hpp"
 #include "dsp/channel.hpp"
 #include "obs/postmortem.hpp"
 #include "platform/packet_farm.hpp"
@@ -80,7 +79,7 @@ int main(int argc, char** argv) {
   if (argc == 3 && std::strcmp(argv[1], "--make-demo") == 0)
     try {
       return makeDemo(argv[2]);
-    } catch (const adres::SimError& e) {
+    } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
     }
@@ -103,7 +102,7 @@ int main(int argc, char** argv) {
         adres::platform::replayPostmortem(b);
     std::printf("%s\n", rep.verdict.c_str());
     return rep.consistent ? 0 : 1;
-  } catch (const adres::SimError& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
