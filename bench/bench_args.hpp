@@ -3,7 +3,8 @@
 // positional arguments, and gets a generated `--help`.  Header-only, shared
 // by the benches and tools that take flags.  Every number on a command
 // line — a flag, a positional, a sweep-axis token — follows one
-// whole-token rule (parseNumber/parseInt).  The overhead gates of
+// whole-token rule (parseNumber/parseInt, common/parse_number.hpp, which
+// the SLO grammar shares).  The overhead gates of
 // bench_farm and bench_table2_profiling also share its one host-overhead
 // statistic, pairedMedianOverheadPct.
 //
@@ -17,16 +18,15 @@
 #pragma once
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "cga/exec_tier.hpp"
+#include "common/parse_number.hpp"
 
 namespace adres::bench {
 
@@ -36,29 +36,6 @@ inline double msSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// The whole-token rule for a double: the entire token parses and the
-/// value is finite (no "nan", "inf" or overflowing "1e999").
-inline bool parseNumber(const std::string& tok, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0' || !std::isfinite(v)) return false;
-  out = v;
-  return true;
-}
-
-/// The whole-token rule for an int: the entire token is a decimal integer
-/// within int's range.
-inline bool parseInt(const std::string& tok, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0' || errno == ERANGE || v < INT_MIN ||
-      v > INT_MAX)
-    return false;
-  out = static_cast<int>(v);
-  return true;
 }
 
 /// Most points a lo:step:hi axis may expand to: a typo'd step must not

@@ -23,6 +23,7 @@
 //     farm threads; the adres.cell.v1 summaries must be byte-identical
 //     (the DES lives on simulated servers, host threads only parallelize
 //     the cycle-accurate decodes).  Mismatch exits 2.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -49,24 +50,6 @@ struct Row {
   double latP50Us = 0, latP99Us = 0;
   double wallMs = 0;  ///< host wall time of the config (informational)
 };
-
-std::vector<int> parseIntList(const std::string& text, bool* ok) {
-  std::vector<int> out;
-  *ok = true;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const long v = std::strtol(item.c_str(), &end, 10);
-    if (end == item.c_str() || *end != '\0' || v < 1) {
-      *ok = false;
-      return out;
-    }
-    out.push_back(static_cast<int>(v));
-  }
-  if (out.empty()) *ok = false;
-  return out;
-}
 
 platform::FarmConfig farmConfigFor(const cell::CellScenario& sc, int workers,
                                    ExecTier tier) {
@@ -176,9 +159,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_cell: %s\n", e.what());
     return 1;
   }
-  bool listOk = false;
-  const std::vector<int> usersList = parseIntList(usersListText, &listOk);
-  if (!listOk) {
+  std::vector<int> usersList;
+  std::string bad;
+  if (!bench::parseAxis(usersListText, usersList, bad) || usersList.empty() ||
+      *std::min_element(usersList.begin(), usersList.end()) < 1) {
     std::fprintf(stderr,
                  "bench_cell: --users-list expects comma-separated positive "
                  "integers, got '%s' (try 'bench_cell --help')\n",

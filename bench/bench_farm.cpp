@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     r.submitMs = submitUs / 1000.0;
     r.submitPps = static_cast<double>(numPackets) / (submitUs / 1e6);
     r.backpressureMs =
-        static_cast<double>(farm->stats().submitBackpressureNs) / 1e6;
+        static_cast<double>(farm->submitBackpressureNs()) / 1e6;
     r.backpressureShare = submitUs > 0 ? r.backpressureMs / r.submitMs : 0;
     r.pps = static_cast<double>(numPackets) / (wallUs / 1e6);
     r.mbps = static_cast<double>(totalBits) / wallUs;  // bits/us == Mbps
@@ -242,12 +242,12 @@ int main(int argc, char** argv) {
     // Histogram-derived quantiles from the farm's merged per-worker
     // latency histograms — no per-sample storage, same values the live
     // /metrics endpoint exposes.
-    const obs::HistogramSnapshot lat = farm->stats().latencyNs;
+    const obs::HistogramSnapshot lat = farm->latencySnapshot();
     r.p50Us = lat.quantile(0.5) / 1000.0;
     r.p99Us = lat.quantile(0.99) / 1000.0;
     // Queue-wait vs decode-time split, from the merged queue-wait and
     // latency histograms.
-    const obs::HistogramSnapshot wait = farm->stats().queueWaitNs;
+    const obs::HistogramSnapshot wait = farm->queueWaitSnapshot();
     r.queueWaitP50Us = wait.quantile(0.5) / 1000.0;
     r.queueWaitP99Us = wait.quantile(0.99) / 1000.0;
     const double busyNs = static_cast<double>(wait.sum + lat.sum);

@@ -13,7 +13,8 @@
 // exceed the previous cell's upper bound) and reports the minimum SNR at
 // which the 144 Mbps QAM-64 configuration decoded every trial error-free —
 // the paper's "100 Mbps+" operating point.  Exit code 1 on a monotonicity
-// violation.
+// violation, or with the engine's message on a value the campaign engine
+// rejects (zero workers).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -41,9 +42,7 @@ std::string fmtG(double v, int prec = 4) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   int workers = 1;
   int maxTrials = 256;
   int seed = 1;
@@ -227,4 +226,15 @@ int main(int argc, char** argv) {
   if (server) server->stop();
   metrics.clear();
   return monotone ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "bench_waterfall: %s\n", e.what());
+    return 1;
+  }
 }

@@ -87,6 +87,21 @@ struct KernelLaunchProfile {
   /// Ops per (PlanOpKind, latency) dispatch class, from the plan's
   /// per-iteration class counts times the launch trip count.
   std::map<std::pair<u8, u8>, u64> opsByClass;
+
+  KernelLaunchProfile& operator+=(const KernelLaunchProfile& o) {
+    launches += o.launches;
+    trips += o.trips;
+    cycles += o.cycles;
+    issueCycles += o.issueCycles;
+    idleCycles += o.idleCycles;
+    stallCycles += o.stallCycles;
+    overheadCycles += o.overheadCycles;
+    ops += o.ops;
+    routeMoves += o.routeMoves;
+    for (const auto& [cls, n] : o.opsByClass) opsByClass[cls] += n;
+    return *this;
+  }
+  bool operator==(const KernelLaunchProfile&) const = default;
 };
 
 class Processor {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parse_number.hpp"
 
 namespace adres::obs {
 namespace {
@@ -78,7 +79,8 @@ struct Cursor {
       ++pos;
     return s.substr(start, pos - start);
   }
-  double number() {
+  /// The next number token: the longest run of number characters.
+  std::string numberToken() {
     skipWs();
     std::size_t start = pos;
     while (pos < s.size() && (std::isdigit(static_cast<unsigned char>(s[pos])) ||
@@ -87,7 +89,14 @@ struct Cursor {
       ++pos;
     ADRES_CHECK(pos > start, "SLO spec: expected a number at '"
                                  << s.substr(start) << '\'');
-    return std::stod(s.substr(start, pos - start));
+    return s.substr(start, pos - start);
+  }
+  double number() {
+    const std::string tok = numberToken();
+    double v = 0;
+    ADRES_CHECK(parseNumber(tok, v),
+                "SLO spec: '" << tok << "' is not a finite number");
+    return v;
   }
 };
 
@@ -144,8 +153,9 @@ SloSpec parseSloSpec(const std::string& text) {
     const std::string kw = c.ident();
     ADRES_CHECK(kw == "for", "SLO spec: unexpected token '" << kw << "' in '"
                                                             << text << '\'');
-    spec.forCount = static_cast<int>(c.number());
-    ADRES_CHECK(spec.forCount >= 1, "SLO spec: 'for' count must be >= 1");
+    const std::string n = c.numberToken();
+    ADRES_CHECK(parseInt(n, spec.forCount) && spec.forCount >= 1,
+                "SLO spec: 'for' count '" << n << "' is not an integer >= 1");
   }
   ADRES_CHECK(c.eof(), "SLO spec: trailing characters in '" << text << '\'');
   return spec;

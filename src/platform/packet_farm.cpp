@@ -10,18 +10,19 @@
 
 namespace adres::platform {
 
-void FarmStats::writeJson(std::ostream& os) const {
-  trace::writeCountersJson(os, counters, regions, regionNames, workers);
-}
-
 PacketFarm::PacketFarm(FarmConfig cfg)
     : cfg_(std::move(cfg)), queue_(cfg_.queueCapacity) {
   ADRES_CHECK(cfg_.numWorkers >= 1, "farm needs at least one worker");
+  // Checked here, on the caller's thread: a worker's session would throw
+  // on its own thread, where nothing can catch it.
+  ADRES_CHECK(cfg_.run.trace == nullptr && !cfg_.run.profile,
+              "a packet farm neither traces nor profiles: re-run a recorded "
+              "decode through runModemOnProcessor with a trace sink or "
+              "profile");
   // Heartbeats are per worker, wired in workerMain.
   cfg_.run.progressCycles = nullptr;
   if (cfg_.postmortem.enabled)
     postmortems_ = std::make_unique<obs::PostmortemWriter>(cfg_.postmortem);
-  workerStats_.resize(static_cast<std::size_t>(cfg_.numWorkers));
   watchdog_ = std::make_unique<obs::WorkerWatchdog>(cfg_.numWorkers,
                                                     cfg_.watchdog);
   telemetry_.reserve(static_cast<std::size_t>(cfg_.numWorkers));
@@ -129,21 +130,6 @@ std::vector<RxOutcome> PacketFarm::finish() {
   for (std::thread& t : threads_) t.join();
   threads_.clear();
   watchdog_->stop();  // after the join: no more heartbeats to observe
-
-  stats_ = FarmStats{};
-  stats_.workers = cfg_.numWorkers;
-  SessionStats merged;
-  for (const SessionStats& s : workerStats_) merged.merge(s);
-  stats_.packets = merged.packets;
-  stats_.counters = merged.counters;
-  stats_.regions = std::move(merged.regions);
-  stats_.regionNames = modem_->program.regionNames;
-  stats_.latencyNs = latencySnapshot();
-  stats_.packetCycles = cycleSnapshot();
-  stats_.queueWaitNs = queueWaitSnapshot();
-  stats_.submitBackpressureNs = queue_.fullWaitNs();
-  stats_.profile = std::move(merged.profile);
-
   if (cfg_.ordered) {
     std::sort(outcomes_.begin(), outcomes_.end(),
               [](const RxOutcome& a, const RxOutcome& b) { return a.id < b.id; });
@@ -427,9 +413,9 @@ void PacketFarm::workerMain(int idx) {
     tele.latencyNs.record(static_cast<u64>(ns));
     tele.packetCycles.record(out.result.cycles);
     tele.queueWaitNs.record(static_cast<u64>(out.queueWaitUs * 1000.0));
-    // A 256-byte copy, before the outcome is recorded: live counters are
+    // A 256-byte add, before the outcome is recorded: live counters are
     // exact for every packet collect() has returned.
-    tele.setCounters(session.stats().counters);
+    tele.addCounters(trace::readCounters(session.processor()));
 
     // Self-auditing: summarize the primary decode once for whichever of the
     // sentinel audit / failure bundle / slowest-packet retention needs it.
@@ -478,8 +464,6 @@ void PacketFarm::workerMain(int idx) {
   }
   health.state.store(static_cast<u32>(obs::WorkerState::kDone),
                      std::memory_order_release);
-  std::lock_guard<std::mutex> lk(mu_);
-  workerStats_[static_cast<std::size_t>(idx)] = session.stats();
 }
 
 }  // namespace adres::platform

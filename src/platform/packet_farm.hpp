@@ -7,19 +7,18 @@
 // shared; the mapped program is shared read-only through the program
 // cache), pulls RxJobs from a bounded MPMC queue (backpressure
 // toward the submitter) and records RxOutcomes.  finish() closes the queue,
-// drains it — accepted jobs are never dropped — joins the workers, and
-// merges every worker's counter totals into one adres.counters.v1 aggregate
-// dump with a `workers` field.  In ordered mode outcomes are returned
-// sorted by job id, which — since each decode is a deterministic function
-// of the waveform — makes an N-worker run bit-exact with the sequential
-// baseline regardless of scheduling.
+// drains it — accepted jobs are never dropped — and joins the workers.  In
+// ordered mode outcomes are returned sorted by job id, which — since each
+// decode is a deterministic function of the waveform — makes an N-worker
+// run bit-exact with the sequential baseline regardless of scheduling.
 //
-// Live observability (src/obs): every worker keeps telemetry (lock-free
-// packet/cycle/op totals and log-linear latency and cycle histograms, plus
-// a copy of its counter block refreshed after every packet) that
-// registerMetrics() exposes through a MetricsRegistry — so a running farm
-// can be scraped mid-flight by the embedded MetricsServer with zero effect
-// on decoded output.  A
+// Live observability (src/obs): every worker keeps telemetry (log-linear
+// latency, cycle and queue-wait histograms, plus the sum of its decodes'
+// counter blocks) that registerMetrics() exposes through a
+// MetricsRegistry — so a running farm can be scraped mid-flight by the
+// embedded MetricsServer with zero effect on decoded output.  The
+// telemetry is the farm's only record of its decodes' cost, and it stays
+// readable after finish().  A
 // WorkerWatchdog supervises decode heartbeats and turns stalls and budget
 // exhaustion into structured HealthEvents instead of silent hangs; a
 // decode's only early stop is its cycle budget.
@@ -28,7 +27,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -42,6 +41,7 @@
 #include "platform/buffer_pool.hpp"
 #include "platform/packet_queue.hpp"
 #include "platform/rx_session.hpp"
+#include "trace/counters.hpp"
 
 namespace adres::platform {
 
@@ -78,11 +78,11 @@ struct FarmConfig {
   /// Sort outcomes by job id (deterministic, bit-exactness tests); false
   /// returns completion order.
   bool ordered = true;
-  /// Per-packet run options.  trace is ignored by the farm (per-worker sinks
-  /// would interleave); use stats() for aggregates.
-  /// progressCycles is overwritten with the worker's heartbeat when the
-  /// watchdog is enabled.
-  /// run.profile folds per-launch cycle attribution into FarmStats::profile.
+  /// Per-packet run options.  A trace sink or run.profile throws SimError
+  /// at construction: the farm keeps only its live telemetry, and a
+  /// recorded decode is traced or profiled by re-running it through
+  /// runModemOnProcessor.  progressCycles is overwritten with the worker's
+  /// heartbeat when the watchdog is enabled.
   sdr::RxRunOptions run;
   /// Worker health supervision (stall detection, budget-exhaustion events).
   obs::WatchdogConfig watchdog;
@@ -103,27 +103,6 @@ struct FarmConfig {
   /// marks itself busy with the job and before the decode.  Observation
   /// must stay observation: the hook must not touch simulator state.
   std::function<void(int worker, const RxJob&)> preDecodeHook;
-};
-
-/// Aggregate statistics merged from every worker's session after finish().
-struct FarmStats {
-  int workers = 0;
-  u64 packets = 0;
-  trace::CounterBlock counters;
-  std::map<int, RegionProfile> regions;  ///< per-region totals by region id
-  std::vector<std::string> regionNames;  ///< the program's, for writeJson
-  obs::HistogramSnapshot latencyNs;     ///< host decode latency, nanoseconds
-  obs::HistogramSnapshot packetCycles;  ///< simulated cycles per packet
-  obs::HistogramSnapshot queueWaitNs;   ///< submit-to-dispatch wait
-  /// Host ns submitters spent blocked on a full queue (backpressure toward
-  /// the traffic source — producer-limited when ~0, decode-limited when
-  /// large; bench_farm reports it next to decode throughput).
-  u64 submitBackpressureNs = 0;
-  /// Merged cycle-attribution summary (empty unless run.profile).
-  trace::ProfileSummary profile;
-
-  /// adres.counters.v1 dump carrying the `workers` extension field.
-  void writeJson(std::ostream& os) const;
 };
 
 class PacketFarm {
@@ -166,13 +145,11 @@ class PacketFarm {
   /// next collectInto() round.
   void recycleOutcomes(std::vector<RxOutcome>& outs);
 
-  /// Closes the queue, drains and joins the workers, merges their stats,
-  /// and returns every outcome not already collect()ed.  A second call
-  /// returns an empty vector.
+  /// Closes the queue, drains and joins the workers, and returns every
+  /// outcome not already collect()ed.  A second call returns an empty
+  /// vector.  The live telemetry below stays readable.
   std::vector<RxOutcome> finish();
 
-  /// Merged per-worker counters; populated by finish().
-  const FarmStats& stats() const { return stats_; }
   const FarmConfig& config() const { return cfg_; }
 
   /// The slowest packet decoded so far (live; id() == 0 with no packets is
@@ -230,7 +207,8 @@ class PacketFarm {
 
   std::size_t queueDepth() const { return queue_.size(); }
   u64 submitted() const { return submitted_.load(std::memory_order_relaxed); }
-  /// Host ns submitters have spent blocked on a full queue so far (live).
+  /// Host ns submitters have spent blocked on a full queue so far (live;
+  /// ~0 when producer-limited, large when decode-limited).
   u64 submitBackpressureNs() const { return queue_.fullWaitNs(); }
   u64 packetsDone() const;
   /// Merged host-latency histogram (nanoseconds) across workers, live.
@@ -240,8 +218,8 @@ class PacketFarm {
   /// Merged submit-to-dispatch queue-wait histogram (nanoseconds), live.
   obs::HistogramSnapshot queueWaitSnapshot() const;
   /// Farm-wide sim counter totals: the sum of every worker's counter block,
-  /// which each worker refreshes after every packet and before recording
-  /// its outcome — so once collect() returns, this covers every collected
+  /// to which each worker adds a packet's counters before recording its
+  /// outcome — so once collect() returns, this covers every collected
   /// packet exactly.
   trace::CounterBlock liveCounters() const;
 
@@ -259,11 +237,11 @@ class PacketFarm {
 
  private:
   /// Per-worker live telemetry; single writer (the worker), readers on any
-  /// thread (metrics scrapes): lock-free histograms, plus the session's
-  /// counter block copied under `mu`.  The per-worker series derive from
-  /// these alone: packets = latencyNs.count(), busy time = latencyNs.sum(),
-  /// simulated cycles = packetCycles.sum(), simulated ops = the block's
-  /// vliw.ops + cga.ops.
+  /// thread (metrics scrapes): lock-free histograms, plus the sum of the
+  /// worker's decodes' counter blocks under `mu`.  The per-worker series
+  /// derive from these alone: packets = latencyNs.count(), busy time =
+  /// latencyNs.sum(), simulated cycles = packetCycles.sum(), simulated ops =
+  /// the block's vliw.ops + cga.ops.
   struct WorkerTelemetry {
     obs::LogLinearHistogram latencyNs;
     obs::LogLinearHistogram packetCycles;
@@ -273,9 +251,9 @@ class PacketFarm {
       std::lock_guard<std::mutex> lk(mu);
       return counters_;
     }
-    void setCounters(const trace::CounterBlock& c) {
+    void addCounters(const trace::CounterBlock& c) {
       std::lock_guard<std::mutex> lk(mu);
-      counters_ = c;
+      counters_ += c;
     }
 
    private:
@@ -298,7 +276,8 @@ class PacketFarm {
   BufferPool<u8> bitPool_;
   std::unique_ptr<obs::WorkerWatchdog> watchdog_;
   std::unique_ptr<obs::PostmortemWriter> postmortems_;
-  /// The shared mapped program: region names for stats().
+  /// The shared mapped program: region names for the slowest packet's
+  /// series.
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
   /// The sentinel's shadow decoder: a session on the held-back tier
   /// (farm-private; calls serialized by the sentinel).
@@ -312,12 +291,10 @@ class PacketFarm {
   std::atomic<u64> submitted_{0};
   bool finished_ = false;
 
-  std::mutex mu_;  ///< guards outcomes_ and workerStats_ while running
+  std::mutex mu_;  ///< guards outcomes_ while running
   std::condition_variable outcomeCv_;  ///< signalled per recorded outcome
   u64 collected_ = 0;  ///< outcomes already handed out by collect()
   std::vector<RxOutcome> outcomes_;
-  std::vector<SessionStats> workerStats_;
-  FarmStats stats_;
 
   mutable std::mutex slowMu_;  ///< guards slowest_
   SlowestPacket slowest_;

@@ -1,7 +1,10 @@
 #include "platform/rx_session.hpp"
 
+#include <map>
 #include <mutex>
 #include <utility>
+
+#include "common/check.hpp"
 
 namespace adres::platform {
 namespace {
@@ -44,16 +47,12 @@ void clearModemProgramCache() {
   c.byConfig.clear();
 }
 
-void SessionStats::merge(const SessionStats& other) {
-  packets += other.packets;
-  counters += other.counters;
-  for (const auto& [id, rp] : other.regions) regions[id] += rp;
-  profile.merge(other.profile);
-}
-
 RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
     : modem_(modemProgramFor(cfg)), opts_(std::move(opts)),
       budget_(opts_.maxCycles) {
+  ADRES_CHECK(opts_.trace == nullptr && !opts_.profile,
+              "an RxSession neither traces nor profiles: re-run the decode "
+              "through runModemOnProcessor with a trace sink or profile");
   // Resolve the exec policy's plan set once per session: every decode then
   // loads with the shared per-tier plans instead of consulting the cache.
   if (!opts_.exec.plans) opts_.exec.plans = modem_->plansFor(opts_.exec.tier);
@@ -62,7 +61,6 @@ RxSession::RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts)
   // This cold load arms it: every decode's load() only replays the DMA and
   // the state reset, and a session is ready to serve once constructed.
   opts_.exec.warmReload = true;
-  opts_.trace = nullptr;
   proc_.load(modem_->program, opts_.exec);
 }
 
@@ -82,13 +80,6 @@ void RxSession::decodeInto(const std::array<std::vector<cint16>, 2>& rx,
   proc_.dma().resetStats();
   opts_.maxCycles = maxCycles;
   sdr::runModemOnProcessor(proc_, *modem_, rx, opts_, out);
-  // Stats reset on the next load; fold this packet's into the session total
-  // (a block add plus one add per region, whose map nodes exist after the
-  // first packet).
-  ++stats_.packets;
-  if (opts_.profile) stats_.profile.addProcessor(proc_);
-  stats_.counters += trace::readCounters(proc_);
-  for (const auto& [id, rp] : proc_.profiles()) stats_.regions[id] += rp;
 }
 
 obs::DecodeSummary RxSession::summarize(

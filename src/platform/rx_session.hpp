@@ -11,14 +11,11 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "obs/integrity.hpp"
 #include "sdr/modem_program.hpp"
-#include "trace/counters.hpp"
-#include "trace/profile.hpp"
 
 namespace adres::platform {
 
@@ -32,40 +29,24 @@ std::shared_ptr<const sdr::ModemOnProcessor> modemProgramFor(
 /// valid).
 void clearModemProgramCache();
 
-/// Counter totals accumulated across the packets a session decoded.
-/// Processor stats reset on every program load, so the session sums each
-/// packet's counter block and region profiles; FarmStats merges these
-/// across workers.
-struct SessionStats {
-  u64 packets = 0;
-  trace::CounterBlock counters;
-  /// Per-region totals keyed by region id (names: the program's
-  /// regionNames, resolved only when a dump is written).
-  std::map<int, RegionProfile> regions;
-  /// Cycle-attribution summary; populated only when the session's run
-  /// options enable kernel profiling.
-  trace::ProfileSummary profile;
-
-  void merge(const SessionStats& other);
-};
-
 class RxSession {
  public:
   /// Fetches (or builds) the program for `cfg` and loads it: the session's
   /// one cold program load, paid before any decode.  `opts.maxCycles` is the
-  /// budget decode() runs under.  `opts.trace` is not used: a session
-  /// decodes on the fast loop, and a trace of any recorded decode is taken
-  /// by re-running it (runModemOnProcessor with a sink).
+  /// budget decode() runs under.  A session decodes on the fast loop and
+  /// keeps no record beyond its processor's statistics of the last decode:
+  /// `opts.trace` or `opts.profile` throws SimError, and a recorded decode
+  /// is traced or profiled by re-running it through runModemOnProcessor.
   explicit RxSession(const dsp::ModemConfig& cfg, sdr::RxRunOptions opts = {});
 
   /// Decodes one packet with the resident program under the session budget.
   sdr::ProcessorRxResult decode(const std::array<std::vector<cint16>, 2>& rx);
 
   /// Allocation-free variant: decodes into `out`, reusing its capacity,
-  /// under exactly `maxCycles` simulated cycles.  Combined with the warm
-  /// program reload and the fixed-size stats fold, a steady-state call
-  /// performs no heap allocation (tools/alloc_gate asserts this) — the
-  /// packet-farm hot path.
+  /// under exactly `maxCycles` simulated cycles.  With the warm program
+  /// reload, a steady-state call performs no heap allocation
+  /// (tools/alloc_gate asserts this) — the packet-farm hot path.  The
+  /// processor's statistics then cover exactly this decode.
   void decodeInto(const std::array<std::vector<cint16>, 2>& rx,
                   sdr::ProcessorRxResult& out, u64 maxCycles);
 
@@ -76,9 +57,8 @@ class RxSession {
 
   const dsp::ModemConfig& config() const { return modem_->config; }
   const sdr::ModemOnProcessor& modem() const { return *modem_; }
+  /// The session's processor: its statistics are the last decode's.
   const Processor& processor() const { return proc_; }
-  /// Session totals.
-  const SessionStats& stats() const { return stats_; }
 
  private:
   std::shared_ptr<const sdr::ModemOnProcessor> modem_;
@@ -86,7 +66,6 @@ class RxSession {
   sdr::RxRunOptions opts_;
   u64 budget_;  ///< decode()'s budget: the constructor's opts.maxCycles
   Processor proc_;
-  SessionStats stats_;
 };
 
 }  // namespace adres::platform

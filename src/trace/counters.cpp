@@ -14,11 +14,8 @@ CounterBlock readCounters(const Processor& p) {
 
 void writeCountersJson(std::ostream& os, const CounterBlock& counters,
                        const std::map<int, RegionProfile>& regions,
-                       const std::vector<std::string>& regionNames,
-                       int workers) {
-  os << "{\n  \"schema\": \"adres.counters.v1\",";
-  if (workers > 0) os << "\n  \"workers\": " << workers << ',';
-  os << "\n  \"counters\": {";
+                       const std::vector<std::string>& regionNames) {
+  os << "{\n  \"schema\": \"adres.counters.v1\",\n  \"counters\": {";
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \"" << kCounterNames[i]
        << "\": " << counters.values[i];

@@ -125,12 +125,9 @@ CounterBlock readCounters(const Processor& p);
 /// `counters` in key order; the `region` group holds
 /// `<name>.{cga_cycles,cycles,entries,ops,vliw_cycles}` for every entry of
 /// `regions`, sorted by key, with names from `regionNames` (`region<id>`
-/// when the id has none).  When `workers` > 0 the dump is an aggregate
-/// merged across that many parallel workers and carries the schema's
-/// `workers` extension field.
+/// when the id has none).
 void writeCountersJson(std::ostream& os, const CounterBlock& counters,
                        const std::map<int, RegionProfile>& regions,
-                       const std::vector<std::string>& regionNames,
-                       int workers = 0);
+                       const std::vector<std::string>& regionNames);
 
 }  // namespace adres::trace

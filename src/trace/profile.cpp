@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "common/json_escape.hpp"
-#include "core/processor.hpp"
 
 namespace adres::trace {
 namespace {
-
-std::string kernelName(const Processor& proc, u32 id) {
-  const auto& plans = proc.kernelPlans();
-  if (plans && id < plans->kernels.size() &&
-      !plans->kernels[id].source.name.empty())
-    return plans->kernels[id].source.name;
-  return "kernel" + std::to_string(id);
-}
 
 /// Folded-stack frames must not contain the separators (';' and ' ').
 std::string foldedFrame(const std::string& s) {
@@ -22,6 +14,26 @@ std::string foldedFrame(const std::string& s) {
   for (char& c : out)
     if (c == ';' || c == ' ') c = '_';
   return out;
+}
+
+/// The report view of a summary: its sums keyed by resolved names, ids
+/// that share a name folded into one row.
+struct NamedRows {
+  std::map<std::string, RegionProfile> regions;
+  std::map<std::pair<std::string, std::string>, KernelLaunchProfile> kernels;
+};
+
+NamedRows named(const ProfileSummary& s) {
+  NamedRows rows;
+  for (const auto& [id, rp] : s.regions)
+    rows.regions[regionName(s.regionNames, id)] += rp;
+  for (const auto& [key, kp] : s.kernels) {
+    std::string kernel =
+        key.second < s.kernelNames.size() ? s.kernelNames[key.second] : "";
+    if (kernel.empty()) kernel = "kernel" + std::to_string(key.second);
+    rows.kernels[{regionName(s.regionNames, key.first), kernel}] += kp;
+  }
+  return rows;
 }
 
 }  // namespace
@@ -33,66 +45,26 @@ std::string planClassName(u8 kind, u8 lat) {
 
 void ProfileSummary::addProcessor(const Processor& proc) {
   const std::vector<std::string>& names = proc.program().regionNames;
+  if (runs == 0) {
+    regionNames = names;
+    if (const auto& plans = proc.kernelPlans())
+      for (const KernelPlan& k : plans->kernels)
+        kernelNames.push_back(k.source.name);
+  }
+  ADRES_CHECK(names == regionNames,
+              "a profile summary adds processors of one program only");
   ++runs;
   totalCycles += proc.activity().totalCycles();
-  for (const auto& [id, rp] : proc.profiles()) {
-    ProfileRegionRow& row = regions[regionName(names, id)];
-    row.cycles += rp.cycles;
-    row.vliwCycles += rp.vliwCycles;
-    row.cgaCycles += rp.cgaCycles;
-    row.vliwOps += rp.vliwOps;
-    row.cgaOps += rp.cgaOps;
-    row.entries += rp.entries;
-  }
-  for (const auto& [key, kp] : proc.kernelProfiles()) {
-    ProfileKernelRow& row =
-        kernels[{regionName(names, key.first), kernelName(proc, key.second)}];
-    row.launches += kp.launches;
-    row.trips += kp.trips;
-    row.cycles += kp.cycles;
-    row.issueCycles += kp.issueCycles;
-    row.idleCycles += kp.idleCycles;
-    row.stallCycles += kp.stallCycles;
-    row.overheadCycles += kp.overheadCycles;
-    row.ops += kp.ops;
-    row.routeMoves += kp.routeMoves;
-    for (const auto& [cls, ops] : kp.opsByClass)
-      row.opsByClass[planClassName(cls.first, cls.second)] += ops;
-  }
-}
-
-void ProfileSummary::merge(const ProfileSummary& other) {
-  runs += other.runs;
-  totalCycles += other.totalCycles;
-  for (const auto& [name, rr] : other.regions) {
-    ProfileRegionRow& row = regions[name];
-    row.cycles += rr.cycles;
-    row.vliwCycles += rr.vliwCycles;
-    row.cgaCycles += rr.cgaCycles;
-    row.vliwOps += rr.vliwOps;
-    row.cgaOps += rr.cgaOps;
-    row.entries += rr.entries;
-  }
-  for (const auto& [key, kr] : other.kernels) {
-    ProfileKernelRow& row = kernels[key];
-    row.launches += kr.launches;
-    row.trips += kr.trips;
-    row.cycles += kr.cycles;
-    row.issueCycles += kr.issueCycles;
-    row.idleCycles += kr.idleCycles;
-    row.stallCycles += kr.stallCycles;
-    row.overheadCycles += kr.overheadCycles;
-    row.ops += kr.ops;
-    row.routeMoves += kr.routeMoves;
-    for (const auto& [cls, ops] : kr.opsByClass) row.opsByClass[cls] += ops;
-  }
+  for (const auto& [id, rp] : proc.profiles()) regions[id] += rp;
+  for (const auto& [key, kp] : proc.kernelProfiles()) kernels[key] += kp;
 }
 
 std::vector<CycleSink> ProfileSummary::topSinks(std::size_t n) const {
+  const NamedRows rows = named(*this);
   std::vector<CycleSink> sinks;
-  for (const auto& [key, kr] : kernels)
+  for (const auto& [key, kr] : rows.kernels)
     sinks.push_back({key.first + "/" + key.second, kr.cycles, 0.0});
-  for (const auto& [name, rr] : regions) {
+  for (const auto& [name, rr] : rows.regions) {
     if (rr.vliwCycles > 0)
       sinks.push_back({name + " [vliw]", rr.vliwCycles, 0.0});
   }
@@ -110,11 +82,12 @@ std::vector<CycleSink> ProfileSummary::topSinks(std::size_t n) const {
 }
 
 void ProfileSummary::writeJson(std::ostream& os) const {
+  const NamedRows rows = named(*this);
   os << "{\n  \"schema\": \"adres.profile.v1\",\n"
      << "  \"runs\": " << runs << ",\n"
      << "  \"total_cycles\": " << totalCycles << ",\n  \"regions\": [";
   bool first = true;
-  for (const auto& [name, rr] : regions) {
+  for (const auto& [name, rr] : rows.regions) {
     os << (first ? "\n" : ",\n") << "    {\"name\": \"" << json::escape(name)
        << "\", \"cycles\": " << rr.cycles
        << ", \"vliw_cycles\": " << rr.vliwCycles
@@ -125,7 +98,7 @@ void ProfileSummary::writeJson(std::ostream& os) const {
   }
   os << "\n  ],\n  \"kernels\": [";
   first = true;
-  for (const auto& [key, kr] : kernels) {
+  for (const auto& [key, kr] : rows.kernels) {
     os << (first ? "\n" : ",\n") << "    {\"region\": \""
        << json::escape(key.first) << "\", \"kernel\": \""
        << json::escape(key.second) << "\", \"launches\": " << kr.launches
@@ -136,9 +109,12 @@ void ProfileSummary::writeJson(std::ostream& os) const {
        << ", \"overhead_cycles\": " << kr.overheadCycles
        << ", \"ops\": " << kr.ops << ", \"route_moves\": " << kr.routeMoves
        << ", \"ops_by_class\": {";
+    // (kind, latency) order is the class names' string order: every
+    // latency is a single digit.
     bool firstCls = true;
     for (const auto& [cls, ops] : kr.opsByClass) {
-      os << (firstCls ? "" : ", ") << '"' << json::escape(cls) << "\": " << ops;
+      os << (firstCls ? "" : ", ") << '"'
+         << planClassName(cls.first, cls.second) << "\": " << ops;
       firstCls = false;
     }
     os << "}}";
@@ -148,7 +124,8 @@ void ProfileSummary::writeJson(std::ostream& os) const {
 }
 
 void ProfileSummary::writeFolded(std::ostream& os) const {
-  for (const auto& [key, kr] : kernels) {
+  const NamedRows rows = named(*this);
+  for (const auto& [key, kr] : rows.kernels) {
     const std::string base =
         "modem;" + foldedFrame(key.first) + ";" + foldedFrame(key.second);
     if (kr.issueCycles) os << base << ";issue " << kr.issueCycles << '\n';
@@ -157,7 +134,7 @@ void ProfileSummary::writeFolded(std::ostream& os) const {
     if (kr.overheadCycles)
       os << base << ";overhead " << kr.overheadCycles << '\n';
   }
-  for (const auto& [name, rr] : regions) {
+  for (const auto& [name, rr] : rows.regions) {
     if (rr.vliwCycles)
       os << "modem;" << foldedFrame(name) << ";vliw " << rr.vliwCycles << '\n';
   }

@@ -1,11 +1,13 @@
 // Cycle-attribution profiler output (DESIGN.md §13).
 //
-// A ProfileSummary folds the per-launch KernelLaunchProfile maps and region
-// profiles of one or more Processors (one per decoded packet on a farm
-// worker) into a mergeable summary keyed by (region name, kernel name),
-// with every booked cycle attributed to issue vs idle vs stall vs overhead
-// and op totals broken down per (dispatch kind, latency) class.  Exporters:
-// a versioned `adres.profile.v1` JSON document and a flamegraph-compatible
+// A ProfileSummary is the id-keyed sum of one or more Processors' own
+// region profiles and per-launch KernelLaunchProfile maps (one processor
+// per decoded packet, all running one program): every booked cycle is
+// attributed to issue vs idle vs stall vs overhead, and op totals are kept
+// per (dispatch kind, latency) class.  Names are resolved only when a
+// report is written, folding ids that share a name (the five radix-2
+// launches are all `fft_stage`).  Exporters: a versioned
+// `adres.profile.v1` JSON document and a flamegraph-compatible
 // folded-stacks file (`modem;<region>;<kernel>;issue 1234` lines), plus a
 // ranked top-cycle-sink list for reports.
 #pragma once
@@ -17,41 +19,13 @@
 #include <vector>
 
 #include "common/types.hpp"
-
-namespace adres {
-class Processor;
-}
+#include "core/processor.hpp"
 
 namespace adres::trace {
 
 /// Stable class label for a (PlanOpKind, latency) pair, e.g. "compute.lat1",
 /// "load.lat3", "store.lat1".
 std::string planClassName(u8 kind, u8 lat);
-
-/// Aggregated CGA launches of one (region, kernel) pair.  The four cycle
-/// components partition `cycles` exactly (see KernelLaunchProfile).
-struct ProfileKernelRow {
-  u64 launches = 0;
-  u64 trips = 0;
-  u64 cycles = 0;
-  u64 issueCycles = 0;
-  u64 idleCycles = 0;
-  u64 stallCycles = 0;
-  u64 overheadCycles = 0;
-  u64 ops = 0;
-  u64 routeMoves = 0;
-  std::map<std::string, u64> opsByClass;  ///< planClassName -> ops
-};
-
-/// Aggregated region occupancy (the Table 2 view, summed across packets).
-struct ProfileRegionRow {
-  u64 cycles = 0;
-  u64 vliwCycles = 0;
-  u64 cgaCycles = 0;
-  u64 vliwOps = 0;
-  u64 cgaOps = 0;
-  u64 entries = 0;
-};
 
 /// One ranked cycle sink: a (region, kernel) pair or a region's VLIW-mode
 /// residue ("<region> [vliw]").
@@ -65,17 +39,23 @@ struct ProfileSummary {
   u64 runs = 0;         ///< processors folded in (packets decoded)
   u64 totalCycles = 0;  ///< summed core cycles across folded runs
 
-  std::map<std::string, ProfileRegionRow> regions;
-  std::map<std::pair<std::string, std::string>, ProfileKernelRow> kernels;
+  /// Sums of Processor::profiles() and kernelProfiles(), by the
+  /// processor's own keys.
+  std::map<int, RegionProfile> regions;
+  std::map<std::pair<int, u32>, KernelLaunchProfile> kernels;
+
+  /// Report names, taken from the first processor folded in: its program's
+  /// region names and its decoded plans' kernel names (`region<id>` and
+  /// `kernel<id>` when a name is missing).
+  std::vector<std::string> regionNames;
+  std::vector<std::string> kernelNames;
 
   bool empty() const { return runs == 0; }
 
-  /// Folds one processor's region profiles and kernel launch profiles,
-  /// resolving region names from its program and kernel names from its
-  /// decoded plans.  Call after a run, before the next load resets stats.
+  /// Adds one processor's region and kernel launch profiles.  Call after a
+  /// run, before the next load resets stats; every processor added must
+  /// run the program of the first.
   void addProcessor(const Processor& proc);
-
-  void merge(const ProfileSummary& other);
 
   /// Top `n` cycle sinks, descending.
   std::vector<CycleSink> topSinks(std::size_t n) const;

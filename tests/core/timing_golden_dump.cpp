@@ -106,12 +106,12 @@ void printDigest(const DumpDigest& d) {
 
 int dumpCounters() {
   printf("// Locked adres.counters.v1 fixture: FNV-1a hash and byte length of\n");
-  printf("// the processor dump after the Table 2 modem decode, the merged\n");
-  printf("// FarmStats dump of an ordered 3-worker farm over a fixed packet\n");
-  printf("// set, and the farm's adres_sim_counter exposition lines after\n");
-  printf("// finish().  Generated by tests/core/timing_golden_dump.cpp\n");
-  printf("// --counters — do not edit by hand; regenerate only for intentional\n");
-  printf("// changes to the counter schema.\n");
+  printf("// the processor dump after the Table 2 modem decode and the\n");
+  printf("// adres_sim_counter exposition lines of an ordered 3-worker farm\n");
+  printf("// over a fixed packet set after finish().  Generated by\n");
+  printf("// tests/core/timing_golden_dump.cpp --counters — do not edit by\n");
+  printf("// hand; regenerate only for intentional changes to the counter\n");
+  printf("// schema.\n");
   printf("// clang-format off\n");
   printf("inline const CountersGoldenRow kCountersGolden[] = {\n");
   for (dsp::Modulation mod :
@@ -119,8 +119,6 @@ int dumpCounters() {
     const CountersGolden g = collectCountersGolden(mod);
     printf("    {\"%s\", ", modulationLabel(mod));
     printDigest(g.processor);
-    printf(", ");
-    printDigest(g.farm);
     printf(", ");
     printDigest(g.simCounterLines);
     printf("},\n");

@@ -65,6 +65,14 @@ TEST(SloGrammar, RejectsMalformedSpecs) {
   EXPECT_THROW(parseSloSpec("x: p99_latency_us < 1 for 0"), SimError);
   EXPECT_THROW(parseSloSpec("x: deadline_miss_rate < 0.1"), SimError)
       << "deadline_miss_rate needs its (deadline_us) argument";
+  // Numbers follow the whole-token rule: a token that does not parse whole
+  // or is out of range is a SimError, never a prefix or a cast.
+  EXPECT_THROW(parseSloSpec("p99: p99_latency_us < -"), SimError);
+  EXPECT_THROW(parseSloSpec("p99: p99_latency_us < 1e999"), SimError);
+  EXPECT_THROW(parseSloSpec("p99: p99_latency_us < 1-2"), SimError);
+  EXPECT_THROW(parseSloSpec("p99: p99_latency_us < 1 for 2.5"), SimError);
+  EXPECT_THROW(parseSloSpec("p99: p99_latency_us < 1 for 1e30"), SimError);
+  EXPECT_THROW(parseSloSpec("x: deadline_miss_rate(4-0) < 0.1"), SimError);
 }
 
 /// Registry wired to mutable sources mimicking the farm's series.

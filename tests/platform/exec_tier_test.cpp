@@ -1,6 +1,7 @@
 // Exec-tier equivalence at the platform layer (DESIGN.md §14): a packet
-// farm run at each ExecTier must produce bit- and cycle-exact outcomes,
-// identical merged adres.counters.v1 totals and an identical
+// farm run at each ExecTier must produce bit- and cycle-exact outcomes and
+// identical live adres_sim_counter totals, and the same packets re-run
+// through runModemOnProcessor with profiling must give an identical
 // adres.profile.v1 cycle-attribution partition — the tiers differ only in
 // host speed.  Also pins that a tier/plan mismatch fails loudly at load.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "dsp/channel.hpp"
 #include "platform/packet_farm.hpp"
+#include "trace/profile.hpp"
 
 namespace adres::platform {
 namespace {
@@ -36,7 +38,8 @@ std::array<std::vector<cint16>, 2> makeWave(const dsp::ModemConfig& cfg,
 
 struct TierRun {
   std::vector<RxOutcome> outs;
-  FarmStats stats;
+  trace::CounterBlock counters;
+  trace::ProfileSummary profile;
   std::string profileJson;
 };
 
@@ -46,15 +49,25 @@ TierRun runFarmAt(ExecTier tier,
   fc.modem = smallConfig();
   fc.numWorkers = 2;
   fc.ordered = true;
-  fc.run.profile = true;
   fc.run.exec.tier = tier;
   PacketFarm farm(fc);
   for (const auto& rx : waves) (void)farm.submit(rx);
   TierRun r;
   r.outs = farm.finish();
-  r.stats = farm.stats();
+  r.counters = farm.liveCounters();
+  // The profile of the same packets at the same tier: a farm does not
+  // profile, a recorded decode is re-run with profiling on.
+  const auto modem = modemProgramFor(fc.modem);
+  sdr::RxRunOptions opts;
+  opts.exec.tier = tier;
+  opts.profile = true;
+  Processor proc;
+  for (const auto& rx : waves) {
+    (void)sdr::runModemOnProcessor(proc, *modem, rx, opts);
+    r.profile.addProcessor(proc);
+  }
   std::ostringstream os;
-  r.stats.profile.writeJson(os);
+  r.profile.writeJson(os);
   r.profileJson = os.str();
   return r;
 }
@@ -79,14 +92,15 @@ TEST(ExecTierFarm, AllTiersAreBitAndCycleExact) {
     EXPECT_EQ(a.result.bits, b.result.bits);
     EXPECT_EQ(a.result.cycles, b.result.cycles);
   }
-  // Merged adres.counters.v1 totals (activity, memory, RF, icache,
-  // config-memory stats across every worker) are identical.
-  EXPECT_EQ(ref.stats.counters, native.stats.counters);
-  EXPECT_EQ(ref.stats.regions, native.stats.regions);
+  // Live adres_sim_counter totals (activity, memory, RF, icache,
+  // config-memory stats summed across every worker) are identical.
+  EXPECT_EQ(ref.counters, native.counters);
+  EXPECT_EQ(ref.profile.regions, native.profile.regions);
   // The adres.profile.v1 cycle-attribution partition — per-region and
-  // per-(region, kernel) issue/idle/stall/overhead splits — is filled by
-  // run.profile and identical down to the serialized document.
-  EXPECT_EQ(ref.stats.profile.runs, static_cast<u64>(waves.size()));
+  // per-(region, kernel) issue/idle/stall/overhead splits — is identical
+  // down to the serialized document.
+  EXPECT_EQ(ref.profile.runs, static_cast<u64>(waves.size()));
+  EXPECT_EQ(ref.profile.kernels, native.profile.kernels);
   EXPECT_EQ(ref.profileJson, native.profileJson);
 }
 

@@ -1,7 +1,7 @@
 // Packet farm: program-build cache identity, N-worker bit-exactness vs the
-// sequential baseline (bits, cycles, merged counters), lossless
-// close-then-drain shutdown, and live telemetry (mid-flight HTTP scrapes
-// must not perturb decoded output).
+// sequential baseline (bits, cycles, live counters), lossless
+// close-then-drain shutdown, live telemetry (mid-flight HTTP scrapes must
+// not perturb decoded output), and the refusal to trace or profile.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -53,18 +53,46 @@ TEST(RxSessionCache, IdenticalConfigsShareOneMappedProgram) {
   EXPECT_EQ(a->config.numSymbols, cfg.numSymbols);
 }
 
-TEST(RxSession, AccumulatesStatsAcrossPackets) {
+TEST(RxSession, EachDecodeLeavesOnlyItsOwnStatistics) {
   const dsp::ModemConfig cfg = smallConfig();
   const auto [rx, bits] = makePacket(cfg, 0);
   RxSession session(cfg);
   const auto r1 = session.decode(rx);
+  const trace::CounterBlock c1 = trace::readCounters(session.processor());
+  const std::map<int, RegionProfile> p1 = session.processor().profiles();
   const auto r2 = session.decode(rx);
   EXPECT_TRUE(r1.halted());
   EXPECT_EQ(r1.bits, r2.bits) << "session reuse is deterministic";
   EXPECT_EQ(r1.cycles, r2.cycles);
-  EXPECT_EQ(session.stats().packets, 2u);
-  EXPECT_EQ(session.stats().counters[trace::Counter::kCoreCycles],
-            r1.cycles + r2.cycles);
+  // The processor's statistics cover the last decode alone: nothing of the
+  // first carries over.
+  const trace::CounterBlock c2 = trace::readCounters(session.processor());
+  EXPECT_EQ(c2[trace::Counter::kCoreCycles], r2.cycles);
+  EXPECT_EQ(c2, c1);
+  EXPECT_EQ(session.processor().profiles(), p1);
+}
+
+TEST(RxSession, RejectsTraceAndProfileRequests) {
+  const dsp::ModemConfig cfg = smallConfig();
+  sdr::RxRunOptions profiled;
+  profiled.profile = true;
+  EXPECT_THROW(RxSession session(cfg, profiled), SimError);
+  RingBufferSink ring(64);
+  sdr::RxRunOptions traced;
+  traced.trace = &ring;
+  EXPECT_THROW(RxSession session(cfg, traced), SimError);
+}
+
+TEST(PacketFarm, RejectsTraceAndProfileRequestsAtConstruction) {
+  FarmConfig profiled;
+  profiled.modem = smallConfig();
+  profiled.run.profile = true;
+  EXPECT_THROW(PacketFarm farm(profiled), SimError);
+  RingBufferSink ring(64);
+  FarmConfig traced;
+  traced.modem = smallConfig();
+  traced.run.trace = &ring;
+  EXPECT_THROW(PacketFarm farm(traced), SimError);
 }
 
 TEST(PacketFarm, OrderedNWorkerRunIsBitExactWithSequentialBaseline) {
@@ -81,7 +109,11 @@ TEST(PacketFarm, OrderedNWorkerRunIsBitExactWithSequentialBaseline) {
   // Sequential baseline: one session, packets in submit order.
   RxSession seq(cfg);
   std::vector<sdr::ProcessorRxResult> base;
-  for (const auto& rx : waves) base.push_back(seq.decode(rx));
+  trace::CounterBlock seqCounters;
+  for (const auto& rx : waves) {
+    base.push_back(seq.decode(rx));
+    seqCounters += trace::readCounters(seq.processor());
+  }
 
   FarmConfig fc;
   fc.modem = cfg;
@@ -106,18 +138,9 @@ TEST(PacketFarm, OrderedNWorkerRunIsBitExactWithSequentialBaseline) {
         << "decode matches the transmitted payload";
   }
 
-  // Counter sums merged across workers equal the sequential totals.
-  const FarmStats& fs = farm.stats();
-  EXPECT_EQ(fs.workers, 4);
-  EXPECT_EQ(fs.packets, static_cast<u64>(kPackets));
-  EXPECT_EQ(fs.counters, seq.stats().counters);
-  EXPECT_EQ(fs.regions, seq.stats().regions);
-
-  // The aggregate dump carries the schema and the workers extension field.
-  std::ostringstream os;
-  fs.writeJson(os);
-  EXPECT_NE(os.str().find("\"schema\": \"adres.counters.v1\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"workers\": 4"), std::string::npos);
+  // Counter sums across workers equal the sequential totals.
+  EXPECT_EQ(farm.packetsDone(), static_cast<u64>(kPackets));
+  EXPECT_EQ(farm.liveCounters(), seqCounters);
 }
 
 TEST(PacketFarm, LiveSimCountersAreExactAfterCollect) {
@@ -127,7 +150,11 @@ TEST(PacketFarm, LiveSimCountersAreExactAfterCollect) {
   for (int i = 0; i < kPackets; ++i) waves.push_back(makePacket(cfg, i).first);
 
   RxSession seq(cfg);
-  for (const auto& rx : waves) (void)seq.decode(rx);
+  trace::CounterBlock seqCounters;
+  for (const auto& rx : waves) {
+    (void)seq.decode(rx);
+    seqCounters += trace::readCounters(seq.processor());
+  }
 
   FarmConfig fc;
   fc.modem = cfg;
@@ -140,71 +167,41 @@ TEST(PacketFarm, LiveSimCountersAreExactAfterCollect) {
 
   // No finish(): the workers are alive, and every collected packet is
   // already in the live totals.
-  EXPECT_EQ(farm.liveCounters(), seq.stats().counters);
+  EXPECT_EQ(farm.liveCounters(), seqCounters);
   std::ostringstream os;
   reg.writePrometheus(os);
   const std::string line = "adres_sim_counter{name=\"core.cycles\"} ";
   const std::string text = os.str();
   const std::size_t at = text.find(line);
   ASSERT_NE(at, std::string::npos) << text;
-  const u64 cycles = seq.stats().counters[trace::Counter::kCoreCycles];
+  const u64 cycles = seqCounters[trace::Counter::kCoreCycles];
   EXPECT_EQ(std::stod(text.substr(at + line.size())),
             static_cast<double>(cycles));
 
   reg.clear();  // teardown barrier before the farm dies
 }
 
-TEST(PacketFarm, ZeroPacketFarmDumpsEveryCounterAtZero) {
+TEST(PacketFarm, ZeroPacketFarmExposesEveryCounterAtZero) {
   FarmConfig fc;
   fc.modem = smallConfig();
   fc.numWorkers = 2;
+  obs::MetricsRegistry reg;
   PacketFarm farm(fc);
+  farm.registerMetrics(reg);
   EXPECT_TRUE(farm.finish().empty());
   std::ostringstream os;
-  farm.stats().writeJson(os);
-  EXPECT_EQ(os.str(),
-            "{\n"
-            "  \"schema\": \"adres.counters.v1\",\n"
-            "  \"workers\": 2,\n"
-            "  \"counters\": {\n"
-            "    \"cdrf.cga_accesses\": 0,\n"
-            "    \"cdrf.reads\": 0,\n"
-            "    \"cdrf.writes\": 0,\n"
-            "    \"cfgmem.context_fetches\": 0,\n"
-            "    \"cfgmem.dma_bytes\": 0,\n"
-            "    \"cga.cycles\": 0,\n"
-            "    \"cga.ops\": 0,\n"
-            "    \"cga.route_moves\": 0,\n"
-            "    \"cga.stall_cycles\": 0,\n"
-            "    \"core.cycles\": 0,\n"
-            "    \"cprf.reads\": 0,\n"
-            "    \"cprf.writes\": 0,\n"
-            "    \"dma.core_cycles\": 0,\n"
-            "    \"dma.transfers\": 0,\n"
-            "    \"dma.words\": 0,\n"
-            "    \"icache.accesses\": 0,\n"
-            "    \"icache.misses\": 0,\n"
-            "    \"l1.bank_conflict_cycles\": 0,\n"
-            "    \"l1.bank_conflicts\": 0,\n"
-            "    \"l1.cga_accesses\": 0,\n"
-            "    \"l1.reads\": 0,\n"
-            "    \"l1.writes\": 0,\n"
-            "    \"lrf.reads\": 0,\n"
-            "    \"lrf.writes\": 0,\n"
-            "    \"mode.switches\": 0,\n"
-            "    \"ops16\": 0,\n"
-            "    \"simd.ops\": 0,\n"
-            "    \"sleep.cycles\": 0,\n"
-            "    \"transports\": 0,\n"
-            "    \"vliw.cycles\": 0,\n"
-            "    \"vliw.ops\": 0,\n"
-            "    \"vliw.stall_cycles\": 0\n"
-            "  },\n"
-            "  \"groups\": {\n"
-            "    \"region\": {\n"
-            "    }\n"
-            "  }\n"
-            "}\n");
+  reg.writePrometheus(os);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::vector<std::string> counters;
+  while (std::getline(lines, line))
+    if (line.rfind("adres_sim_counter{", 0) == 0) counters.push_back(line);
+  ASSERT_EQ(counters.size(), trace::kNumCounters);
+  for (std::size_t i = 0; i < trace::kNumCounters; ++i) {
+    EXPECT_EQ(counters[i], "adres_sim_counter{name=\"" +
+                               std::string(trace::kCounterNames[i]) + "\"} 0");
+  }
+  reg.clear();  // teardown barrier before the farm dies
 }
 
 TEST(PacketFarm, CollectSupportsRepeatedBatchesOnOneFarm) {
@@ -239,7 +236,7 @@ TEST(PacketFarm, CollectSupportsRepeatedBatchesOnOneFarm) {
   }
   EXPECT_TRUE(farm.collect().empty()) << "collect with nothing pending";
   EXPECT_TRUE(farm.finish().empty()) << "everything was already collected";
-  EXPECT_EQ(farm.stats().packets, 6u);
+  EXPECT_EQ(farm.packetsDone(), 6u);
 }
 
 TEST(PacketFarm, ShutdownDrainsQueueWithoutLosingJobs) {
@@ -331,9 +328,9 @@ TEST(PacketFarm, LiveMetricsScrapeIsBitExactAndExposesFarmSeries) {
             std::string::npos)
       << "published session counters reach the live endpoint";
 
-  // The merged live histogram equals the post-run merge.
+  // The merged live histograms count every packet after the join.
   EXPECT_EQ(farm.latencySnapshot().count, static_cast<u64>(kPackets));
-  EXPECT_EQ(farm.stats().packetCycles.count, static_cast<u64>(kPackets));
+  EXPECT_EQ(farm.cycleSnapshot().count, static_cast<u64>(kPackets));
 
   server.stop();
   reg.clear();  // teardown barrier before the farm dies
@@ -419,10 +416,9 @@ TEST(PacketFarm, PerWorkerSeriesEqualSumsOverCollectedOutcomes) {
 }
 
 TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
-  // Kernel profiling (run.profile) against a plain farm: observation must
-  // not change a single bit or cycle, and every observability product
-  // (merged profile, slowest-packet view, Prometheus histogram) must
-  // materialize.
+  // A scraped farm against a plain farm: observation must not change a
+  // single bit or cycle, and every observability product (slowest-packet
+  // view, Prometheus histogram) must materialize.
   const dsp::ModemConfig cfg = smallConfig();
   constexpr int kPackets = 8;
   std::vector<std::array<std::vector<cint16>, 2>> waves;
@@ -441,7 +437,6 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
   FarmConfig fc;
   fc.modem = cfg;
   fc.numWorkers = 3;
-  fc.run.profile = true;
   obs::MetricsRegistry reg;
   PacketFarm farm(fc);
   farm.registerMetrics(reg);
@@ -459,17 +454,7 @@ TEST(PacketFarm, DeepObservabilityKeepsDecodesBitAndCycleExact) {
     EXPECT_GE(o.queueWaitUs, 0.0);
   }
 
-  // Merged cycle-attribution profile: one fold per packet, partition exact.
-  const trace::ProfileSummary& prof = farm.stats().profile;
-  EXPECT_EQ(prof.runs, static_cast<u64>(kPackets));
-  EXPECT_GT(prof.totalCycles, 0u);
-  ASSERT_FALSE(prof.kernels.empty());
-  for (const auto& [key, kr] : prof.kernels) {
-    EXPECT_EQ(kr.cycles, kr.issueCycles + kr.idleCycles + kr.stallCycles +
-                             kr.overheadCycles)
-        << key.first << "/" << key.second;
-  }
-  EXPECT_EQ(farm.stats().queueWaitNs.count, static_cast<u64>(kPackets));
+  EXPECT_EQ(farm.queueWaitSnapshot().count, static_cast<u64>(kPackets));
 
   // Live slowest-packet view carries its decode's region partition.
   const PacketFarm::SlowestPacket slow = farm.slowestPacket();
@@ -538,31 +523,30 @@ TEST(PacketFarm, SlowestPacketRegionCyclesAreLiveWithoutAnySwitch) {
 TEST(RxSession, WarmReloadIsBitAndCycleExactWithColdReload) {
   const dsp::ModemConfig cfg = smallConfig();
   RxSession warm(cfg);  // its constructor's cold load: every decode is warm
-  // The cold side: a full program load per decode on one processor, folding
-  // each packet's counters and region profiles as the session does.
+  // The cold side: a full program load per decode on one processor.
   const auto modem = modemProgramFor(cfg);
   Processor coldProc;
   sdr::RxRunOptions coldOpts;
   coldOpts.exec.warmReload = false;
-  trace::CounterBlock coldCounters;
-  std::map<int, RegionProfile> coldRegions;
 
   for (int i = 0; i < 3; ++i) {
     const auto [rx, bits] = makePacket(cfg, i);
     const auto w = warm.decode(rx);
     coldProc.dma().resetStats();  // as RxSession: stats cover one packet
     const auto c = sdr::runModemOnProcessor(coldProc, *modem, rx, coldOpts);
-    coldCounters += trace::readCounters(coldProc);
-    for (const auto& [id, rp] : coldProc.profiles()) coldRegions[id] += rp;
     EXPECT_EQ(w.bits, bits) << "packet " << i;
     EXPECT_EQ(w.bits, c.bits) << "packet " << i;
     EXPECT_EQ(w.cycles, c.cycles) << "packet " << i;
     EXPECT_EQ(w.detected, c.detected);
     EXPECT_EQ(w.ltfStart, c.ltfStart);
+    // The whole counter set and region partition — not just cycles — must
+    // be reload-invariant, packet by packet.
+    EXPECT_EQ(trace::readCounters(warm.processor()),
+              trace::readCounters(coldProc))
+        << "packet " << i;
+    EXPECT_EQ(warm.processor().profiles(), coldProc.profiles())
+        << "packet " << i;
   }
-  // The whole counter set — not just cycles — must be reload-invariant.
-  EXPECT_EQ(warm.stats().counters, coldCounters);
-  EXPECT_EQ(warm.stats().regions, coldRegions);
 }
 
 TEST(PacketFarm, SubmittedPayloadsAreMovedNeverCopied) {

@@ -1,8 +1,8 @@
 // Collectors shared by the counters-golden regression test and the
 // timing_golden_dump --counters generator: the byte-level digests of every
-// adres.counters.v1 producer — the processor dump after a Table 2 modem
-// decode, the merged FarmStats dump of a 3-worker farm, and the farm's
-// adres_sim_counter exposition lines — for one modulation.
+// counter rendering — the adres.counters.v1 processor dump after a Table 2
+// modem decode and the adres_sim_counter exposition lines of a 3-worker
+// farm — for one modulation.
 #pragma once
 
 #include <array>
@@ -37,7 +37,6 @@ inline DumpDigest digestOf(const std::string& s) {
 
 struct CountersGolden {
   DumpDigest processor;        ///< writeCountersJson(proc) after the decode
-  DumpDigest farm;             ///< FarmStats::writeJson of the 3-worker farm
   DumpDigest simCounterLines;  ///< adres_sim_counter lines after finish()
 };
 
@@ -101,11 +100,6 @@ inline CountersGolden collectCountersGolden(dsp::Modulation mod) {
   farm.registerMetrics(reg);
   for (const auto& rx : countersGoldenPackets(cfg)) (void)farm.submit(rx);
   (void)farm.finish();
-  {
-    std::ostringstream os;
-    farm.stats().writeJson(os);
-    g.farm = digestOf(os.str());
-  }
   {
     std::ostringstream os;
     reg.writePrometheus(os);

@@ -1,8 +1,7 @@
-// Golden adres.counters.v1 regression: the bytes of every counter dump —
-// the processor dump after a Table 2 modem decode, the merged 3-worker
-// FarmStats dump and the farm's adres_sim_counter exposition lines — are
-// locked (FNV-1a hash + length, QAM-64 and QAM-16) into
-// tests/trace/counters_golden.inc.  Refactors of the counter plumbing must
+// Golden adres.counters.v1 regression: the bytes of every counter
+// rendering — the processor dump after a Table 2 modem decode and a
+// 3-worker farm's adres_sim_counter exposition lines — are locked (FNV-1a
+// hash + length, QAM-64 and QAM-16) into tests/trace/counters_golden.inc.  Refactors of the counter plumbing must
 // reproduce every byte; a deliberate schema change regenerates the fixture
 // with `timing_golden_dump --counters` and justifies the diff.
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@ namespace {
 struct CountersGoldenRow {
   const char* mod;
   DumpDigest processor;
-  DumpDigest farm;
   DumpDigest simCounterLines;
 };
 
@@ -34,7 +32,6 @@ void expectMatchesFixture(dsp::Modulation mod) {
   for (const CountersGoldenRow& row : kCountersGolden) {
     if (label != row.mod) continue;
     expectDigest(g.processor, row.processor, "processor dump");
-    expectDigest(g.farm, row.farm, "FarmStats dump");
     expectDigest(g.simCounterLines, row.simCounterLines,
                  "adres_sim_counter lines");
     return;

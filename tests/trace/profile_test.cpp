@@ -1,9 +1,12 @@
 // The cycle-attribution profiler: plan class names and — on a real modem
 // decode — the KernelLaunchProfile partition invariant (cycles == issue +
-// idle + stall + overhead), the adres.profile.v1 JSON schema and the
-// flamegraph folded-stacks output.
+// idle + stall + overhead), the summary as the processor's own id-keyed
+// maps, the adres.profile.v1 JSON schema (ids that share a name folded)
+// and the flamegraph folded-stacks output.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,7 +78,48 @@ TEST(Profiler, KernelLaunchCyclesPartitionExactly) {
   }
 }
 
-TEST(Profiler, SummaryFoldsMergesRanksAndExports) {
+TEST(Profiler, SummaryIsTheProcessorsOwnMapsNamedAtExport) {
+  ProfiledDecode d;
+  ProfileSummary sum;
+  sum.addProcessor(d.proc);
+  EXPECT_EQ(sum.regions, d.proc.profiles());
+  EXPECT_EQ(sum.kernels, d.proc.kernelProfiles());
+
+  // The radix-2 stages are five kernel ids sharing the name `fft_stage`:
+  // the export folds them into one row per region, whose launches are the
+  // sum over the five ids.
+  const auto& plans = d.proc.kernelPlans()->kernels;
+  const std::vector<std::string>& regionNames = d.proc.program().regionNames;
+  std::map<std::string, u64> fftLaunches;  // region name -> summed launches
+  std::map<std::string, std::set<u32>> fftIds;
+  for (const auto& [key, kp] : d.proc.kernelProfiles()) {
+    if (plans[key.second].source.name != "fft_stage") continue;
+    const std::string region = regionName(regionNames, key.first);
+    fftLaunches[region] += kp.launches;
+    fftIds[region].insert(key.second);
+  }
+  ASSERT_FALSE(fftLaunches.empty());
+  for (const auto& [region, ids] : fftIds)
+    EXPECT_EQ(ids.size(), 5u) << region;
+
+  std::ostringstream js;
+  sum.writeJson(js);
+  const JsonValue root = JsonParser(js.str()).parse();
+  std::map<std::string, int> rows;  // region name -> fft_stage rows
+  for (const JsonValue& k : root.at("kernels").array) {
+    if (k.at("kernel").str != "fft_stage") continue;
+    const std::string& region = k.at("region").str;
+    ++rows[region];
+    ASSERT_TRUE(fftLaunches.count(region)) << region;
+    EXPECT_EQ(k.at("launches").number,
+              static_cast<double>(fftLaunches.at(region)))
+        << region;
+  }
+  EXPECT_EQ(rows.size(), fftLaunches.size());
+  for (const auto& [region, n] : rows) EXPECT_EQ(n, 1) << region;
+}
+
+TEST(Profiler, SummaryFoldsRanksAndExports) {
   ProfiledDecode d;
   ProfileSummary sum;
   EXPECT_TRUE(sum.empty());
@@ -83,16 +127,20 @@ TEST(Profiler, SummaryFoldsMergesRanksAndExports) {
   EXPECT_FALSE(sum.empty());
   EXPECT_EQ(sum.runs, 1u);
   EXPECT_EQ(sum.totalCycles, d.proc.activity().totalCycles());
-  // Kernel rows carry human names resolved from the program.
+  // Reports carry human names resolved from the program at export.
   ASSERT_FALSE(sum.kernels.empty());
-  EXPECT_TRUE(sum.kernels.count({"SDM processing", "sdm_processing"}))
-      << "Table 2 kernel present under its region/kernel names";
   ASSERT_FALSE(sum.regions.empty());
-  EXPECT_GT(sum.regions.at("non-kernel code").vliwCycles, 0u);
+  std::ostringstream folded1;
+  sum.writeFolded(folded1);
+  EXPECT_NE(folded1.str().find("modem;SDM_processing;sdm_processing;"),
+            std::string::npos)
+      << "Table 2 kernel present under its region/kernel names";
+  EXPECT_NE(folded1.str().find("modem;non-kernel_code;vliw "),
+            std::string::npos);
 
-  // merge() doubles every count.
+  // Adding the processor again doubles every count.
   ProfileSummary twice = sum;
-  twice.merge(sum);
+  twice.addProcessor(d.proc);
   EXPECT_EQ(twice.runs, 2u);
   EXPECT_EQ(twice.totalCycles, 2 * sum.totalCycles);
   for (const auto& [key, kr] : sum.kernels) {

@@ -11,6 +11,8 @@
 // (--fresh ignores an existing file).  --stop-after-cells N exits after N
 // cells complete — a deterministic "kill" for resume testing.  With
 // --live-metrics a MetricsServer exposes campaign progress while it runs.
+// A value the campaign engine rejects (an odd symbol count, zero workers)
+// exits 1 with the engine's message.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -49,9 +51,7 @@ bool parseMods(const std::string& s, std::vector<dsp::Modulation>& out) {
   return !out.empty();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string mods = "qam64";
   std::string snr = "30";
   std::string cfo = "10";
@@ -134,12 +134,7 @@ int main(int argc, char** argv) {
   cfg.sweep.stop.confidence = confidence;
   cfg.workers = workers;
   cfg.producers = producers;
-  try {
-    cfg.frontend.kind = dsp::parseFrontendKind(frontend);
-  } catch (const SimError& e) {
-    std::fprintf(stderr, "campaign_runner: %s\n", e.what());
-    return 1;
-  }
+  cfg.frontend.kind = dsp::parseFrontendKind(frontend);
   cfg.checkpointPath = checkpoint;
   cfg.resume = !fresh;
   cfg.stopAfterCells = stopAfterCells;
@@ -189,4 +184,15 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(lingerMs));
   registry.clear();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "campaign_runner: %s\n", e.what());
+    return 1;
+  }
 }
